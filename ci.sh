@@ -32,10 +32,13 @@
 #                    # aggregate must be byte-identical to the no-fleet run,
 #                    # the bench_fleet fan-out byte-identity gate, and the
 #                    # fleet + daemon suites under ASan+UBSan
+#   ./ci.sh tsan     # ThreadSanitizer over every threaded suite: the pool,
+#                    # parallel determinism (nested loops on the pool), the
+#                    # zoo, the daemon and the fleet; any report fails it
 #
-# Build trees: build/ (Release, the same tree developers use) and
-# build-san/ (ASan+UBSan). Benchmarks are compiled in both configs but only
-# the test suite runs here — kernel perf is tracked separately by
+# Build trees: build/ (Release, the same tree developers use), build-san/
+# (ASan+UBSan) and build-tsan/ (TSan). Benchmarks are compiled in the first
+# two configs but only the test suite runs here — kernel perf is tracked separately by
 # tools/bench_kernels and tools/bench_pipeline (see EXPERIMENTS.md).
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -494,6 +497,21 @@ run_fleet() {
   rm -rf "$d"
 }
 
+run_tsan() {
+  echo "== tsan: ThreadSanitizer over the threaded suites =="
+  cmake -B build-tsan -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
+    >/dev/null
+  local suites=(test_thread_pool test_parallel_determinism test_zoo test_daemon test_fleet)
+  cmake --build build-tsan -j "$jobs" --target "${suites[@]}"
+  local t
+  for t in "${suites[@]}"; do
+    echo "tsan: $t"
+    TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" "build-tsan/tests/$t" >/dev/null
+  done
+}
+
 case "$stage" in
   tier1)  run_tier1 ;;
   san)    run_san ;;
@@ -504,7 +522,8 @@ case "$stage" in
   campaign) run_campaign ;;
   daemon) run_daemon ;;
   fleet)  run_fleet ;;
-  all)    run_tier1; run_san; run_docs; run_faults; run_simd; run_serving; run_campaign; run_daemon; run_fleet ;;
-  *) echo "usage: $0 [tier1|san|docs|faults|simd|serving|campaign|daemon|fleet|all]" >&2; exit 64 ;;
+  tsan)   run_tsan ;;
+  all)    run_tier1; run_san; run_docs; run_faults; run_simd; run_serving; run_campaign; run_daemon; run_fleet; run_tsan ;;
+  *) echo "usage: $0 [tier1|san|docs|faults|simd|serving|campaign|daemon|fleet|tsan|all]" >&2; exit 64 ;;
 esac
 echo "== ci.sh: $stage passed =="

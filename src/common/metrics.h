@@ -16,7 +16,8 @@
 // Determinism of the merge: snapshot() merges shards per metric in shard
 // registration order and reports metrics sorted by name. Counter and gauge
 // totals are integer/last-write values, so they are identical for any thread
-// count; histogram value-sums are floating-point and exact whenever the
+// count (except the thread pool's own `pool.*` counters, which count
+// scheduling); histogram value-sums are floating-point and exact whenever the
 // recorded values are (the unit tests exercise exactly that).
 //
 // Snapshots must be taken from outside parallel regions (after a

@@ -9,13 +9,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace muxlink::common {
 
 namespace {
-
-// Set while a thread is executing chunks of some parallel_for; nested calls
-// observing it run inline instead of enqueueing (no-deadlock guarantee).
-thread_local bool t_in_parallel_region = false;
 
 std::size_t default_num_threads() {
   if (const char* env = std::getenv("MUXLINK_THREADS")) {
@@ -94,22 +92,20 @@ Pool& pool() {
 }
 
 // Shared state of one parallel_for invocation. Helpers hold a shared_ptr so
-// a helper scheduled after the caller finished draining still finds live
-// state; it then sees next >= nchunks and exits without touching `fn`.
+// a helper dequeued after the caller closed the loop still finds live state;
+// it then returns without touching `fn`.
 struct LoopState {
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  std::exception_ptr error;          // first exception, guarded by error_m
-  std::mutex error_m;
-  std::atomic<std::size_t> helpers_left{0};
-  std::mutex done_m;
-  std::condition_variable done_cv;
+  std::mutex m;
+  std::condition_variable idle_cv;
+  std::exception_ptr error;  // first exception; guarded by m
+  bool closed = false;       // no helper may join any more; guarded by m
+  std::size_t active = 0;    // helpers inside drain(); guarded by m
 };
 
 void drain(LoopState& st, std::size_t n, std::size_t chunk, std::size_t nchunks,
            const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const bool was_in_region = t_in_parallel_region;
-  t_in_parallel_region = true;
   for (;;) {
     const std::size_t c = st.next.fetch_add(1, std::memory_order_relaxed);
     if (c >= nchunks || st.failed.load(std::memory_order_relaxed)) break;
@@ -118,12 +114,11 @@ void drain(LoopState& st, std::size_t n, std::size_t chunk, std::size_t nchunks,
     try {
       fn(begin, end, c);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(st.error_m);
+      std::lock_guard<std::mutex> lock(st.m);
       if (!st.error) st.error = std::current_exception();
       st.failed.store(true, std::memory_order_relaxed);
     }
   }
-  t_in_parallel_region = was_in_region;
 }
 
 }  // namespace
@@ -143,44 +138,41 @@ void parallel_for(std::size_t n, std::size_t chunk,
   const std::size_t nchunks = num_chunks(n, chunk);
 
   Pool& p = pool();
-  if (p.size() <= 1 || nchunks <= 1 || t_in_parallel_region) {
-    // Sequential / nested fallback: run every chunk inline, in order.
-    const bool was_in_region = t_in_parallel_region;
-    t_in_parallel_region = true;
-    try {
-      for (std::size_t c = 0; c < nchunks; ++c) {
-        const std::size_t begin = c * chunk;
-        fn(begin, begin + chunk < n ? begin + chunk : n, c);
-      }
-    } catch (...) {
-      t_in_parallel_region = was_in_region;
-      throw;
+  if (p.size() <= 1 || nchunks <= 1) {
+    MUXLINK_COUNTER_ADD("pool.regions_inlined", 1);
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      const std::size_t begin = c * chunk;
+      fn(begin, begin + chunk < n ? begin + chunk : n, c);
     }
-    t_in_parallel_region = was_in_region;
     return;
   }
+  MUXLINK_COUNTER_ADD("pool.regions_parallel", 1);
 
   auto st = std::make_shared<LoopState>();
   const std::size_t helpers = std::min(p.size() - 1, nchunks - 1);
-  st->helpers_left.store(helpers, std::memory_order_relaxed);
   for (std::size_t i = 0; i < helpers; ++i) {
     p.enqueue([st, n, chunk, nchunks, &fn] {
-      drain(*st, n, chunk, nchunks, fn);
-      if (st->helpers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(st->done_m);
-        st->done_cv.notify_all();
+      {
+        std::lock_guard<std::mutex> lock(st->m);
+        if (st->closed) return;
+        ++st->active;
       }
+      drain(*st, n, chunk, nchunks, fn);
+      std::lock_guard<std::mutex> lock(st->m);
+      if (--st->active == 0) st->idle_cv.notify_all();
     });
   }
 
+  // The caller can run every chunk alone, so it never depends on a queued
+  // helper. Once the chunks are claimed it closes the loop and waits only for
+  // helpers that joined: they are running chunks, and any loop they nest obeys
+  // the same rule, so no nesting depth can deadlock. Helpers dequeued later
+  // find the loop closed, which keeps `fn` (captured by reference) alive for
+  // as long as anyone can call it.
   drain(*st, n, chunk, nchunks, fn);
-
-  // Wait for every helper to finish so `fn` (captured by reference) stays
-  // alive for as long as any thread can still call it.
-  std::unique_lock<std::mutex> lock(st->done_m);
-  st->done_cv.wait(lock, [&] { return st->helpers_left.load(std::memory_order_acquire) == 0; });
-  lock.unlock();
-
+  std::unique_lock<std::mutex> lock(st->m);
+  st->closed = true;
+  st->idle_cv.wait(lock, [&] { return st->active == 0; });
   if (st->error) std::rethrow_exception(st->error);
 }
 

@@ -4,8 +4,10 @@
 //   * Chunking depends ONLY on (n, chunk) — never on the pool size — so a
 //     caller that accumulates into chunk-indexed buffers and reduces them in
 //     chunk order gets bit-identical results for any thread count.
-//   * Nested parallel_for calls from inside a worker run inline (no task is
-//     enqueued), so nesting can never deadlock the pool.
+//   * Nested parallel_for calls use the pool like any other: idle workers
+//     join the inner loop. A caller waits only for helpers that already
+//     joined its loop, never for helpers still queued (those find the loop
+//     closed and return), so nesting at any depth cannot deadlock.
 //   * The first exception thrown by `fn` is captured and rethrown on the
 //     calling thread after every in-flight chunk has drained; remaining
 //     chunks are skipped.

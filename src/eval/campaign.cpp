@@ -240,12 +240,12 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     };
   }
 
-  // One cell per chunk: cells run concurrently on the current pool while
-  // each cell's inner parallel_fors nest inline. Results land by index, and
-  // every cell is internally thread-count invariant, so the sweep output
-  // does not depend on the worker count. The fault point fires after each
-  // cell's manifest is on disk — an injected crash leaves a clean prefix
-  // for --resume.
+  // One cell per chunk: cells run concurrently on the current pool, and pool
+  // threads no cell occupies join the cells' inner parallel_fors. Results
+  // land by index, and every cell is internally thread-count invariant, so
+  // the sweep output does not depend on the worker count. The fault point
+  // fires after each cell's manifest is on disk — an injected crash leaves a
+  // clean prefix for --resume.
   common::parallel_for(specs.size(), 1, [&](std::size_t begin, std::size_t end, std::size_t) {
     for (std::size_t i = begin; i < end; ++i) {
       const CellSpec& spec = specs[i];

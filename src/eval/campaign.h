@@ -87,11 +87,11 @@ struct CampaignResult {
   std::size_t resumed_cells = 0;
 };
 
-// Runs the sweep on the current thread pool (one cell per chunk; the cells'
-// inner parallel_fors nest inline). Cell manifests are written atomically as
-// each cell finishes — a crash mid-sweep (fault site `campaign.cell`) leaves
-// a resumable prefix. Throws std::invalid_argument for unknown scheme or
-// attack names before any cell runs.
+// Runs the sweep on the current thread pool (one cell per chunk; idle pool
+// threads join the cells' inner parallel_fors). Cell manifests are written
+// atomically as each cell finishes — a crash mid-sweep (fault site
+// `campaign.cell`) leaves a resumable prefix. Throws std::invalid_argument
+// for unknown scheme or attack names before any cell runs.
 CampaignResult run_campaign(const CampaignOptions& opts);
 
 }  // namespace muxlink::eval

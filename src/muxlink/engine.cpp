@@ -236,8 +236,9 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
     // (4) Train the DGCNN (or an ensemble of independently seeded models).
     // Models are constructed sequentially (deterministic init), then trained
     // concurrently; each training run is itself deterministic, so the outer
-    // parallelism cannot change any result. With ensemble == 1 the outer loop
-    // is inline and the per-batch parallelism inside the trainer takes over.
+    // parallelism cannot change any result. Pool threads the ensemble loop
+    // leaves idle (all but one at ensemble == 1) join the trainer's per-batch
+    // loops.
     const auto t_train = std::chrono::steady_clock::now();
     sortpool_k = opts.sortpool_k > 0 ? opts.sortpool_k : gnn::choose_sortpool_k(sizes);
     models.reserve(ensemble);

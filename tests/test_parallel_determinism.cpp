@@ -1,12 +1,14 @@
 // Determinism contract of the parallel pipeline: training, the full MuxLink
 // attack, Hamming distance, and the rank-sum AUC must produce bit-identical
-// results at 1, 2, and 8 threads.
+// results at 1, 2, and 8 threads — and the attack's training must actually
+// run on the pool while doing so.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
 #include "circuitgen/generator.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "gnn/encoding.h"
 #include "gnn/trainer.h"
@@ -125,6 +127,32 @@ TEST(ParallelDeterminism, AttackBitIdenticalAcrossThreadCounts) {
       ASSERT_EQ(r1.likelihoods[i].score_b, other->likelihoods[i].score_b) << "mux " << i;
     }
   }
+}
+
+// The mechanism behind the speed the identity tests cannot see: with the
+// default ensemble of one, the engine's one-chunk ensemble loop must not stop
+// the trainer's per-batch loops from using the pool. Every batch of more than
+// one gradient chunk is a parallel region, and so is each epoch's validation
+// pass, so parallel regions outnumber training batches only if the batch
+// loops ran on the pool.
+TEST(ParallelDeterminism, EnsembleOfOneTrainsOnThePool) {
+  if (!common::metrics_enabled()) GTEST_SKIP() << "metrics disabled";
+  const auto nl = small_circuit(7, 200);
+  locking::MuxLockOptions lo;
+  lo.key_bits = 8;
+  lo.seed = 11;
+  const auto d = locking::lock_dmux(nl, lo);
+
+  common::MetricsRegistry::instance().reset();
+  attack_at(4, d.netlist);
+  common::set_num_threads(0);
+  const auto counters = common::MetricsRegistry::instance().snapshot().counters;
+  const auto count = [&](const char* name) {
+    const auto it = counters.find(name);
+    return it == counters.end() ? std::int64_t{0} : it->second;
+  };
+  ASSERT_GT(count("gnn.train.batches"), 0);
+  EXPECT_GT(count("pool.regions_parallel"), count("gnn.train.batches"));
 }
 
 TEST(ParallelDeterminism, EnsembleBitIdenticalAcrossThreadCounts) {

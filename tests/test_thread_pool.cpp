@@ -1,12 +1,18 @@
 // Tests for the common thread pool: full index coverage, deterministic
-// chunking, exception propagation, nested parallel_for (no deadlock), and a
+// chunking, exception propagation, nested parallel_for (no deadlock, and the
+// pool still engaged), a caller that never waits on queued helpers, and a
 // many-task stress loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -92,6 +98,92 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     outer_sums[begin] = std::accumulate(inner.begin(), inner.end(), std::uint64_t{0});
   });
   for (std::uint64_t s : outer_sums) EXPECT_EQ(s, 4950u);
+  set_num_threads(0);
+}
+
+// The threads that ran one loop's chunks. Each chunk waits (up to a shared
+// deadline) for a second thread to show up, so the loop's first chunk cannot
+// finish everything before a helper is scheduled; a pool that runs the loop
+// on one thread records exactly one id and fails after the deadline.
+struct ThreadSet {
+  std::mutex m;
+  std::condition_variable cv;
+  std::set<std::thread::id> ids;  // guarded by m
+  const std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+
+  void record_and_wait_for_company() {
+    std::unique_lock<std::mutex> lock(m);
+    ids.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait_until(lock, deadline, [&] { return ids.size() > 1; });
+  }
+
+  std::size_t distinct() {
+    std::lock_guard<std::mutex> lock(m);
+    return ids.size();
+  }
+};
+
+TEST(ThreadPool, NestedLoopsRunOnMoreThanOneThread) {
+  set_num_threads(4);
+  for (std::size_t outer_chunks : {1u, 2u}) {
+    std::vector<ThreadSet> inner(outer_chunks);
+    parallel_for(outer_chunks, 1, [&](std::size_t begin, std::size_t, std::size_t) {
+      parallel_for(8, 1, [&](std::size_t, std::size_t, std::size_t) {
+        inner[begin].record_and_wait_for_company();
+      });
+    });
+    for (std::size_t i = 0; i < outer_chunks; ++i) {
+      EXPECT_GT(inner[i].distinct(), 1u)
+          << "inner loop " << i << " of a " << outer_chunks << "-chunk outer loop";
+    }
+  }
+  set_num_threads(0);
+}
+
+TEST(ThreadPool, CallerNeverWaitsOnQueuedHelpers) {
+  set_num_threads(4);
+  const std::size_t threads = num_threads();
+  std::mutex m;
+  std::condition_variable cv;
+  std::size_t pinned = 0;  // guarded by m
+  bool released = false;   // guarded by m
+  bool timed_out = false;  // guarded by m
+
+  // An outer loop with one chunk per pool thread, each blocking until
+  // released: its caller and every pool worker end up pinned inside it.
+  std::thread blocker([&] {
+    parallel_for(threads, 1, [&](std::size_t, std::size_t, std::size_t) {
+      std::unique_lock<std::mutex> lock(m);
+      ++pinned;
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(10), [&] { return released; })) {
+        timed_out = true;
+      }
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(m);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] { return pinned == threads; }))
+        << "only " << pinned << " of " << threads << " threads pinned";
+  }
+
+  // Its helpers can only sit in the queue behind the pinned workers, so this
+  // loop returns before the release only if the caller runs every chunk
+  // itself and does not wait for them.
+  std::atomic<std::size_t> ran{0};
+  parallel_for(16, 1, [&](std::size_t, std::size_t, std::size_t) { ran.fetch_add(1); });
+  bool returned_while_pinned = false;
+  {
+    std::lock_guard<std::mutex> lock(m);
+    returned_while_pinned = !timed_out;
+    released = true;
+  }
+  cv.notify_all();
+  blocker.join();
+  EXPECT_TRUE(returned_while_pinned);
+  EXPECT_EQ(ran.load(), 16u);
   set_num_threads(0);
 }
 

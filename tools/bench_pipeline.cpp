@@ -16,6 +16,11 @@
 // measure) and the manifest records thread_speedup_skipped=1 with the reason
 // in extra; the bit-identity exit gate then only covers the 1-thread run.
 //
+// Exit 3 when the N-thread run is not bit-identical, or when training fails
+// to scale: train_thread_speedup = train_1 / train_n below 1.5 with at least
+// 4 hardware threads and N >= 4. Training is almost all of a cold attack,
+// so a pool that stops engaging the trainer's loops shows up here first.
+//
 // stdout is always the compact single-line manifest; --report additionally
 // writes it pretty-printed to F.
 #include <fstream>
@@ -86,6 +91,7 @@ int main(int argc, char** argv) {
     m.add_stage("total_1", base.total_seconds);
 
     bool identical = true;
+    bool scales = true;
     if (!skip_threads) {
       const auto fast = run_attack(locked.netlist, opts, threads);
       identical = base.key == fast.key;
@@ -99,7 +105,11 @@ int main(int argc, char** argv) {
       m.add_stage("train_n", fast.train_seconds);
       m.add_stage("score_n", fast.score_seconds);
       m.add_stage("total_n", fast.total_seconds);
+      const double train_speedup =
+          fast.train_seconds > 0.0 ? base.train_seconds / fast.train_seconds : 0.0;
+      scales = hw < 4 || threads < 4 || train_speedup >= 1.5;
       m.add_result("thread_speedup", speedup);
+      m.add_result("train_thread_speedup", train_speedup);
       m.add_result("bit_identical", identical ? 1.0 : 0.0);
     }
     m.add_result("thread_speedup_skipped", skip_threads ? 1.0 : 0.0);
@@ -122,7 +132,7 @@ int main(int argc, char** argv) {
       if (!os) throw std::runtime_error("cannot write '" + *report + "'");
       os << j.dump_pretty() << "\n";
     }
-    return identical ? 0 : 3;
+    return identical && scales ? 0 : 3;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
