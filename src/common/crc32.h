@@ -1,6 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the integrity
-// check guarding checkpoint, model, and zoo-blob files. Table-driven, no
-// dependencies; check value: crc32("123456789") == 0xCBF43926.
+// check guarding checkpoint, model, and zoo-blob files. Slice-by-8 (eight
+// table lookups per 8 input bytes, any alignment), no dependencies; check
+// value: crc32("123456789") == 0xCBF43926.
 #pragma once
 
 #include <cstddef>

@@ -247,7 +247,14 @@ double Dgcnn::predict(const GraphSample& g, bool training) {
   return forward(g, training, thread_workspace(), training ? &rng_ : nullptr);
 }
 
+double Dgcnn::score(const GraphSample& g) const {
+  return forward(g, /*training=*/false, thread_workspace(), nullptr);
+}
+
 double Dgcnn::accumulate_gradients(const GraphSample& g) {
+  if (grads_.size() != params_.size()) {
+    throw std::logic_error("Dgcnn::accumulate_gradients: training state was dropped");
+  }
   Workspace& ws = thread_workspace();
   const double p1 = forward(g, /*training=*/true, ws, &rng_);
   backward(g, ws, grads_);
@@ -410,6 +417,9 @@ void Dgcnn::backward(const GraphSample& g, Workspace& ws, std::vector<Matrix>& g
 }
 
 void Dgcnn::adam_step(std::size_t batch_size) {
+  if (grads_.size() != params_.size() || adam_m_.size() != params_.size()) {
+    throw std::logic_error("Dgcnn::adam_step: training state was dropped");
+  }
   const double b1 = 0.9, b2 = 0.999;
   ++adam_t_;
   const double bc1 = 1.0 - std::pow(b1, static_cast<double>(adam_t_));
@@ -427,6 +437,13 @@ void Dgcnn::adam_step(std::size_t batch_size) {
                    adam_v_[p].data.data(), params_[p].data.size(), cfg_.learning_rate, bc1, bc2,
                    scale);
   }
+}
+
+void Dgcnn::drop_training_state() {
+  std::vector<Matrix>().swap(grads_);
+  std::vector<Matrix>().swap(adam_m_);
+  std::vector<Matrix>().swap(adam_v_);
+  adam_t_ = 0;
 }
 
 void Dgcnn::zero_gradients() {

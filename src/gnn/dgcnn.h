@@ -83,6 +83,8 @@ class Dgcnn {
   // dropout (using the internal RNG). With `training == false` this mutates
   // no model state and may be called concurrently from many threads.
   double predict(const GraphSample& g, bool training = false);
+  // predict(g, false) on a shared read-only model (zoo-served handles).
+  double score(const GraphSample& g) const;
 
   // Forward + backward for one sample; accumulates parameter gradients and
   // returns the cross-entropy loss.
@@ -137,6 +139,12 @@ class Dgcnn {
   // for gradient-checking tests and optimizer experiments.
   const std::vector<Matrix>& gradients() const noexcept { return grads_; }
   void zero_gradients();
+
+  // Frees the gradient accumulators and Adam moments, leaving a model that
+  // can only score: the zoo's served handles never train, so they do not
+  // carry ~2x their weights in training state. Any later training call
+  // throws std::logic_error.
+  void drop_training_state();
 
   // Number of trainable scalars (for reporting).
   std::size_t num_parameters() const;

@@ -152,21 +152,22 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
 
   // Probe the registry: serve only when EVERY ensemble member is present
   // and loads cleanly (a corrupt or foreign entry silently falls back to
-  // training, which re-inserts a fresh blob over it).
-  std::vector<zoo::LoadedModel> served;
+  // training, which re-inserts a fresh blob over it). Handles come from the
+  // registry's process-wide cache, so a blob this process already verified
+  // costs a stat and an LRU bump, not a map + CRC pass.
+  std::vector<std::shared_ptr<const zoo::LoadedModel>> served;
   bool zoo_hit = false;
   if (registry) {
     MUXLINK_TRACE("attack.zoo_probe");
     zoo_hit = true;
     for (const std::string& k : member_keys) {
-      const auto path = registry->find(k);  // LRU bump on hit
-      if (!path) {
-        zoo_hit = false;
-        break;
-      }
       try {
-        zoo::LoadedModel lm = zoo::load_model_blob(*path);
-        if (lm.model.feature_dim() != feature_dim) throw zoo::ZooError("feature dim mismatch");
+        auto lm = registry->serve(k);  // LRU bump on hit
+        if (!lm) {
+          zoo_hit = false;
+          break;
+        }
+        if (lm->model.feature_dim() != feature_dim) throw zoo::ZooError("feature dim mismatch");
         served.push_back(std::move(lm));
       } catch (const zoo::ZooError&) {
         zoo_hit = false;
@@ -188,17 +189,17 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
   sgopts.hops = opts.hops;
   sgopts.max_nodes = opts.max_subgraph_nodes;
 
-  std::vector<gnn::Dgcnn> models;    // trained (or fine-tuned) this run
-  std::vector<gnn::Dgcnn*> scorers;  // what step (5) predicts with
+  std::vector<gnn::Dgcnn> models;          // trained (or fine-tuned) this run
+  std::vector<const gnn::Dgcnn*> scorers;  // what step (5) predicts with
   scorers.reserve(ensemble);
   int sortpool_k = 0;
   if (zoo_hit) {
     // Weights stay mmap'd for the scoring pass — zero tensor copies.
-    for (zoo::LoadedModel& lm : served) {
-      result.serving.bytes_mapped += lm.bytes_mapped;
-      scorers.push_back(&lm.model);
+    for (const auto& lm : served) {
+      result.serving.bytes_mapped += lm->bytes_mapped;
+      scorers.push_back(&lm->model);
     }
-    sortpool_k = served[0].model.config().sortpool_k;
+    sortpool_k = served[0]->model.config().sortpool_k;
     MUXLINK_GAUGE_SET("serving.bytes_mapped",
                       static_cast<std::int64_t>(result.serving.bytes_mapped));
   } else {
@@ -407,7 +408,7 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
         const auto sg = graph::extract_enclosing_subgraph(g, links[i], sgopts);
         const auto gs = gnn::encode_subgraph(sg, opts.hops, 0);
         double sum = 0.0;
-        for (gnn::Dgcnn* model : scorers) sum += model->predict(gs);
+        for (const gnn::Dgcnn* model : scorers) sum += model->score(gs);
         result.scores[i] = sum / ensemble;
       }
     });

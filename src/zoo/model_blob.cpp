@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -212,11 +213,6 @@ std::string slurp(const std::filesystem::path& path) {
   return bytes;
 }
 
-bool mmap_disabled_by_env() {
-  const char* v = std::getenv("MUXLINK_ZOO_MMAP");
-  return v != nullptr && v[0] == '0' && v[1] == '\0';
-}
-
 struct Mapping {
   void* addr = nullptr;
   std::size_t len = 0;
@@ -240,6 +236,23 @@ Mapping map_file(const std::filesystem::path& path) {
   // blob in ahead of first use instead of page-at-a-time.
   ::madvise(addr, len, MADV_WILLNEED);
   return {addr, len};
+}
+
+// Drops this process's pages of the mapped bytes past the last weight
+// tensor (the Adam moments, which encode_model_blob lays out after the
+// parameters). The CRC pass faulted them in; a scoring handle never reads
+// them again, so they would only inflate resident memory. Best-effort: the
+// pages refault from the file if anything ever touches them.
+void release_tail(const char* base, std::size_t size, const std::vector<TensorEntry>& table) {
+  std::uint64_t params_end = 0;
+  for (const TensorEntry& e : table) {
+    if (e.kind == kParam) params_end = std::max(params_end, e.offset + e.bytes);
+  }
+  const long page = ::sysconf(_SC_PAGESIZE);
+  if (page <= 0) return;
+  const auto addr = reinterpret_cast<std::uintptr_t>(base);
+  const std::uint64_t start = align_up(addr + params_end, static_cast<std::uint64_t>(page)) - addr;
+  if (start < size) ::madvise(const_cast<char*>(base) + start, size - start, MADV_DONTNEED);
 }
 
 }  // namespace
@@ -354,8 +367,13 @@ void LoadedModel::materialize() {
   mapping.reset();
 }
 
+bool mmap_enabled() {
+  const char* v = std::getenv("MUXLINK_ZOO_MMAP");
+  return v == nullptr || v[0] != '0' || v[1] != '\0';
+}
+
 LoadedModel load_model_blob(const std::filesystem::path& path, const LoadOptions& opts) {
-  const bool want_mmap = !opts.force_copy && !mmap_disabled_by_env();
+  const bool want_mmap = !opts.force_copy && mmap_enabled();
 
   // Get the bytes: prefer a shared mapping, fall back to a buffered slurp.
   std::shared_ptr<void> mapping;
@@ -435,6 +453,10 @@ LoadedModel load_model_blob(const std::filesystem::path& path, const LoadOptions
     }
   } catch (const std::invalid_argument& e) {
     fail(std::string("tensors do not match the declared topology: ") + e.what());
+  }
+  if (opts.score_only) {
+    out.model.drop_training_state();
+    if (mappable) release_tail(base, size, table);
   }
   if (mappable) {
     out.mapped = true;

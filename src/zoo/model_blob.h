@@ -84,7 +84,15 @@ struct LoadOptions {
   // Force the streaming-copy reader even when mapping would work (tests,
   // MUXLINK_ZOO_MMAP=0).
   bool force_copy = false;
+  // The handle will only ever score (the registry's served handles): drop
+  // the model's gradient and Adam buffers and, once the CRC pass is done,
+  // release the mapped pages of the optimizer tensors, which scoring never
+  // reads. Such a model cannot be trained or materialize()d into a trainer.
+  bool score_only = false;
 };
+
+// False when MUXLINK_ZOO_MMAP=0 forces the streaming-copy reader.
+bool mmap_enabled();
 
 // Loads a blob, preferring the zero-copy mmap path. Throws ZooError on a
 // missing/corrupt/incompatible file.

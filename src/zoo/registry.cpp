@@ -1,16 +1,23 @@
 #include "zoo/registry.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <system_error>
 #include <unordered_map>
+#include <utility>
 
 #include "common/atomic_file.h"
+#include "common/metrics.h"
 
 namespace muxlink::zoo {
 
@@ -52,6 +59,106 @@ bool should_bump(const std::string& path) {
   it->second = now;
   return true;
 }
+
+std::optional<BlobStamp> stamp_of(const fs::path& path) {
+  struct stat st{};
+  if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) return std::nullopt;
+  return BlobStamp{static_cast<std::uint64_t>(st.st_dev), static_cast<std::uint64_t>(st.st_ino),
+                   static_cast<std::uint64_t>(st.st_size),
+                   static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 + st.st_mtim.tv_nsec};
+}
+
+std::int64_t wall_clock_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_REALTIME, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
+// Served-handle cache (DESIGN.md §11). One process-wide table of verified,
+// score-only models, keyed by (entry path, mmap mode): the mode is part of
+// the key because a mapped and a copied handle differ in what they report
+// (bytes_mapped), so MUXLINK_ZOO_MMAP=0 must never be served a mapped one.
+// Each entry remembers the BlobStamp it was verified against and follows the
+// mtime its own find() bumps write; any other change to the file's identity
+// (a new inode from insert, an in-place write, another process's bump) makes
+// the next serve reload and re-verify. Capacity is fixed; past it the least
+// recently served entry goes. Every miss also sweeps entries whose file is
+// gone or changed, so handles of deleted zoos do not stay mapped.
+//
+// The mutex covers find's stat + bump + compare, so this process's own bumps
+// are always recorded before the next serve compares. Loads run under it too:
+// they happen once per blob identity, and concurrent first requests for one
+// blob then verify it once.
+class HandleCache {
+ public:
+  static constexpr std::size_t kCapacity = 32;
+
+  static HandleCache& instance() {
+    // Never destroyed: a daemon worker may still hold the lock or a handle
+    // while static destructors run at exit.
+    static HandleCache* cache = new HandleCache;
+    return *cache;
+  }
+
+  std::shared_ptr<const LoadedModel> serve(const Registry& reg, const std::string& key) {
+    const bool mapped = mmap_enabled();
+    const fs::path path = reg.entry_path(key);
+    std::lock_guard<std::mutex> lock(m_);
+    FindStamp seen;
+    if (!reg.find(key, &seen)) {
+      sweep();
+      return nullptr;
+    }
+    BlobStamp now = seen.found;
+    if (seen.wrote_mtime_ns) now.mtime_ns = *seen.wrote_mtime_ns;
+    const auto it = entries_.find({path.string(), mapped});
+    if (it != entries_.end() && it->second.stamp == seen.found) {
+      it->second.stamp = now;
+      it->second.last_use = ++tick_;
+      MUXLINK_COUNTER_ADD("serving.handle_hits", 1);
+      return it->second.handle;
+    }
+    if (it != entries_.end()) entries_.erase(it);
+    sweep();
+    LoadOptions opts;
+    opts.score_only = true;
+    auto handle = std::make_shared<const LoadedModel>(load_model_blob(path, opts));
+    MUXLINK_COUNTER_ADD("serving.handle_loads", 1);
+    if (entries_.size() >= kCapacity) {
+      entries_.erase(std::min_element(entries_.begin(), entries_.end(),
+                                      [](const auto& a, const auto& b) {
+                                        return a.second.last_use < b.second.last_use;
+                                      }));
+    }
+    entries_[{path.string(), mapped}] = Entry{now, handle, ++tick_};
+    return handle;
+  }
+
+  void forget(const fs::path& path) {
+    std::lock_guard<std::mutex> lock(m_);
+    entries_.erase({path.string(), false});
+    entries_.erase({path.string(), true});
+  }
+
+ private:
+  struct Entry {
+    BlobStamp stamp;  // identity as of this process's last find() on it
+    std::shared_ptr<const LoadedModel> handle;
+    std::uint64_t last_use = 0;
+  };
+
+  // Drops entries whose file is gone or no longer matches its stamp.
+  void sweep() {
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      const auto stamp = stamp_of(it->first.first);
+      it = stamp && *stamp == it->second.stamp ? std::next(it) : entries_.erase(it);
+    }
+  }
+
+  std::mutex m_;
+  std::map<std::pair<std::string, bool>, Entry> entries_;
+  std::uint64_t tick_ = 0;
+};
 
 }  // namespace
 
@@ -95,12 +202,14 @@ bool Registry::contains(const std::string& key) const {
 
 void Registry::insert(const std::string& key, std::string_view blob_bytes) const {
   common::atomic_write_file(entry_path(key), blob_bytes);
+  HandleCache::instance().forget(entry_path(key));
 }
 
-std::optional<fs::path> Registry::find(const std::string& key) const {
+std::optional<fs::path> Registry::find(const std::string& key, FindStamp* stamp) const {
   const fs::path path = entry_path(key);
-  std::error_code ec;
-  if (!fs::is_regular_file(path, ec)) return std::nullopt;
+  const auto found = stamp_of(path);
+  if (!found) return std::nullopt;
+  if (stamp != nullptr) *stamp = FindStamp{*found, std::nullopt};
   // Read-mostly fast path: inside a coalescing window the hit is served
   // without touching the inode (see BumpShard above).
   if (!should_bump(path.string())) return path;
@@ -109,14 +218,19 @@ std::optional<fs::path> Registry::find(const std::string& key) const {
   // coarse mtime granularity (or when the entry's mtime sits in the future)
   // a plain clock::now() bump can fail to advance the timestamp, collapsing
   // the recency order of same-tick hits — never move the mtime backwards or
-  // leave it equal; step one tick past the stored time instead.
-  auto bumped = fs::file_time_type::clock::now();
-  std::error_code mec;
-  if (const auto cur = fs::last_write_time(path, mec); !mec && cur >= bumped) {
-    bumped = cur + fs::file_time_type::duration(1);
+  // leave it equal; step one nanosecond past the stored time instead.
+  const std::int64_t bumped = std::max(wall_clock_ns(), found->mtime_ns + 1);
+  const timespec times[2] = {{0, UTIME_OMIT},
+                             {static_cast<std::time_t>(bumped / 1000000000),
+                              static_cast<long>(bumped % 1000000000)}};
+  if (::utimensat(AT_FDCWD, path.c_str(), times, 0) == 0 && stamp != nullptr) {
+    stamp->wrote_mtime_ns = bumped;
   }
-  fs::last_write_time(path, bumped, ec);
   return path;
+}
+
+std::shared_ptr<const LoadedModel> Registry::serve(const std::string& key) const {
+  return HandleCache::instance().serve(*this, key);
 }
 
 void Registry::pin(const std::string& key) const {
@@ -185,6 +299,7 @@ Registry::GcResult Registry::gc(std::uintmax_t max_bytes) const {
     std::error_code rec;
     fs::remove(e.path, rec);
     fs::remove(score_cache_path(e.key), rec);
+    HandleCache::instance().forget(e.path);
     remaining -= e.bytes;
     result.bytes_freed += e.bytes;
     result.evicted.push_back(e.key);

@@ -32,14 +32,21 @@
 // common::atomic_write_file, so concurrent writers of one key (two attacks
 // racing on the same circuit) each stage a private temp and the renames
 // serialize — readers always see a complete blob.
+//
+// Serving goes through serve(): a process-wide cache of verified, score-only
+// LoadedModel handles, so a blob is mapped and CRC-checked once per file
+// identity instead of once per job (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "zoo/model_blob.h"
 
 namespace muxlink::zoo {
 
@@ -72,6 +79,25 @@ struct ZooKey {
   std::string str() const;
 };
 
+// A blob file's identity as stat(2) reports it. The registry changes a blob
+// only by renaming a new inode over it (insert) or by a write that moves its
+// mtime, so an unchanged stamp means unchanged bytes.
+struct BlobStamp {
+  std::uint64_t dev = 0;
+  std::uint64_t ino = 0;
+  std::uint64_t size = 0;
+  std::int64_t mtime_ns = 0;
+
+  bool operator==(const BlobStamp&) const = default;
+};
+
+// What find() saw before its LRU bump, and the mtime the bump wrote (nullopt
+// when the bump was coalesced away or failed).
+struct FindStamp {
+  BlobStamp found;
+  std::optional<std::int64_t> wrote_mtime_ns;
+};
+
 class Registry {
  public:
   // Opens (and creates, including scores/) the registry rooted at `dir`.
@@ -88,7 +114,8 @@ class Registry {
 
   bool contains(const std::string& key) const;
 
-  // Atomic insert/replace of a blob under `key`.
+  // Atomic insert/replace of a blob under `key`; drops any cached handle of
+  // the old blob.
   void insert(const std::string& key, std::string_view blob_bytes) const;
 
   // LRU-bumps the entry (mtime := now) and returns its path; nullopt on miss.
@@ -96,7 +123,20 @@ class Registry {
   // the same entry within the window skip the mtime write (concurrent warm
   // jobs stop serializing on the inode); the first hit per window still
   // bumps, so LRU recency is at most one window stale.
-  std::optional<std::filesystem::path> find(const std::string& key) const;
+  // When `stamp` is given, it receives the entry's identity before the bump
+  // and the mtime the bump wrote.
+  std::optional<std::filesystem::path> find(const std::string& key,
+                                            FindStamp* stamp = nullptr) const;
+
+  // find() + load_model_blob() for scoring, through the process-wide handle
+  // cache: returns the entry's verified, score-only model (shared and
+  // immutable; Dgcnn::score is safe from any number of threads), or nullptr
+  // on a registry miss. The blob is mapped and CRC-checked only when no
+  // cached handle matches (entry path, mmap mode, BlobStamp); the cache
+  // accepts the mtime its own find() bump wrote, and any other identity
+  // change reloads and re-verifies. Throws ZooError when the blob is corrupt
+  // or incompatible. Counts serving.handle_hits / serving.handle_loads.
+  std::shared_ptr<const LoadedModel> serve(const std::string& key) const;
 
   // Pinned entries survive any gc budget.
   void pin(const std::string& key) const;
@@ -122,7 +162,8 @@ class Registry {
   };
   // Evicts least-recently-used unpinned entries (blob + score cache + any
   // stale temp files) until the remaining total is <= max_bytes. Pinned
-  // entries are skipped and still count toward bytes_kept.
+  // entries are skipped and still count toward bytes_kept. Cached handles
+  // of evicted entries are dropped.
   GcResult gc(std::uintmax_t max_bytes) const;
 
  private:

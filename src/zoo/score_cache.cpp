@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "common/atomic_file.h"
 #include "common/crc32.h"
@@ -63,6 +64,8 @@ void ScoreCache::put(std::uint64_t key, double score) {
 bool ScoreCache::load(const std::filesystem::path& path) {
   lru_.clear();
   map_.clear();
+  on_disk_path_ = path;
+  on_disk_.clear();
   std::ifstream is(path, std::ios::binary);
   if (!is) return false;
   std::string bytes((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
@@ -99,10 +102,11 @@ bool ScoreCache::load(const std::filesystem::path& path) {
     }
     put(key, score);
   }
+  on_disk_ = std::move(bytes);
   return true;
 }
 
-void ScoreCache::save(const std::filesystem::path& path) const {
+void ScoreCache::save(const std::filesystem::path& path) {
   std::string payload;
   payload.reserve(sizeof(std::uint32_t) + sizeof(std::uint64_t) +
                   lru_.size() * (sizeof(std::uint64_t) + sizeof(double)));
@@ -117,7 +121,10 @@ void ScoreCache::save(const std::filesystem::path& path) const {
   out.append(kMagic, sizeof(kMagic));
   out += payload;
   put_raw(out, common::crc32(payload));
+  if (path == on_disk_path_ && out == on_disk_) return;
   common::atomic_write_file(path, out);
+  on_disk_path_ = path;
+  on_disk_ = std::move(out);
 }
 
 }  // namespace muxlink::zoo

@@ -32,6 +32,7 @@
 #include <filesystem>
 #include <list>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 namespace muxlink::zoo {
@@ -59,7 +60,10 @@ class ScoreCache {
   bool load(const std::filesystem::path& path);
 
   // Atomic write (temp + rename) of the current contents in LRU order.
-  void save(const std::filesystem::path& path) const;
+  // Skipped when the bytes equal what the last load() of (or save() to) the
+  // same path found there: a fully-hit served run replays its lookups in
+  // the stored order, so it would rewrite — and fsync — identical bytes.
+  void save(const std::filesystem::path& path);
 
  private:
   std::size_t capacity_;
@@ -68,6 +72,9 @@ class ScoreCache {
   std::unordered_map<std::uint64_t, std::list<std::pair<std::uint64_t, double>>::iterator> map_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  // The file bytes at `on_disk_path_` as of the last load() or save().
+  std::filesystem::path on_disk_path_;
+  std::string on_disk_;
 };
 
 }  // namespace muxlink::zoo

@@ -1,12 +1,17 @@
 // Serving-layer suite (DESIGN.md §11): streaming CRC, MXZOO1 blob round
 // trips (mmap and streaming-copy readers must agree bit for bit), registry
-// key schema + concurrent inserts + LRU gc, the per-link score cache, the
+// key schema + concurrent inserts + LRU gc, the served-handle cache (verify
+// once, never stale), the per-link score cache, the
 // explicit tensor-layout version in the text model format, and the
 // end-to-end zoo determinism contract (a zoo-served attack is bit-identical
 // to the training run that populated the entry). The e2e cases train small
 // models, so the suite is registered as a single heavy ctest entry.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -22,6 +27,7 @@
 #include "common/atomic_file.h"
 #include "common/crc32.h"
 #include "common/json.h"
+#include "common/metrics.h"
 #include "gnn/dgcnn.h"
 #include "gnn/serialize.h"
 #include "locking/mux_lock.h"
@@ -123,6 +129,36 @@ void take_one_step(gnn::Dgcnn& model, std::uint64_t dropout_seed = 99) {
   model.adam_step(1);
 }
 
+// Serving counters accumulated since the last reset(); 0 when never bumped.
+std::int64_t counter(const char* name) {
+  const auto counters = common::MetricsRegistry::instance().snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+// (inode, mtime) of a file: what an atomic rewrite or an in-place write moves.
+std::pair<ino_t, std::int64_t> inode_and_mtime(const fs::path& p) {
+  struct stat st{};
+  EXPECT_EQ(::stat(p.c_str(), &st), 0) << p;
+  return {st.st_ino, static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 + st.st_mtim.tv_nsec};
+}
+
+// Flips one payload byte without replacing the inode or changing the size,
+// then moves the mtime one second past where it was (a coarse filesystem
+// clock could otherwise leave it unchanged).
+void corrupt_in_place(const fs::path& p) {
+  const auto before = fs::last_write_time(p);
+  {
+    std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-5, std::ios::end);
+    const char c = static_cast<char>(f.get() ^ 0x10);
+    f.seekp(-5, std::ios::end);
+    f.put(c);
+    ASSERT_TRUE(f.good());
+  }
+  fs::last_write_time(p, before + std::chrono::seconds(1));
+}
+
 // ---------------------------------------------------------------------------
 // Satellite 1: streaming CRC matches the one-shot API.
 
@@ -145,6 +181,43 @@ TEST(Crc32, StreamingMatchesOneShot) {
     }
     EXPECT_EQ(crc.value(), whole) << "chunk=" << chunk;
   }
+}
+
+// The bytewise reference loop the slice-by-8 implementation replaced: the
+// oracle every table-driven result must equal.
+std::uint32_t crc32_bytewise(std::string_view data, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SliceBy8MatchesTheBytewiseOracle) {
+  std::mt19937_64 rng(2024);
+  std::string pool(70000, '\0');
+  for (char& c : pool) c = static_cast<char>(rng());
+  for (int trial = 0; trial < 200; ++trial) {
+    // Odd lengths and unaligned starts exercise the 8-byte loop's head and
+    // tail handling; every length 0..64 is covered by the first trials.
+    const std::size_t len = trial < 65 ? static_cast<std::size_t>(trial) : rng() % 65000;
+    const std::size_t start = rng() % (pool.size() - len + 1);
+    const std::string_view data = std::string_view(pool).substr(start, len);
+    const std::uint32_t seed = trial % 3 == 0 ? 0u : static_cast<std::uint32_t>(rng());
+    const std::uint32_t want = crc32_bytewise(data, seed);
+    ASSERT_EQ(common::crc32(data, seed), want) << "len=" << len << " start=" << start;
+
+    // Arbitrary update() chunking must give the same value.
+    common::Crc32 crc(seed);
+    for (std::size_t off = 0; off < data.size();) {
+      const std::size_t n = std::min<std::size_t>(data.size() - off, rng() % 23);
+      crc.update(data.substr(off, n));
+      off += n;
+    }
+    ASSERT_EQ(crc.value(), want) << "chunked, len=" << len << " start=" << start;
+  }
+  EXPECT_EQ(crc32_bytewise("123456789"), 0xCBF43926u);
 }
 
 TEST(Crc32, SeedChainingAndReset) {
@@ -206,6 +279,24 @@ TEST_F(BlobTest, MmapAndCopyReadersAgreeBitForBit) {
   EXPECT_TRUE(bit_equal(p_orig, copied.model.predict(s, false)));
 
   EXPECT_EQ(mapped.meta["test"].as_string(), "yes");
+}
+
+TEST_F(BlobTest, ScoreOnlyLoadScoresIdenticallyButCannotTrain) {
+  auto model = small_model();
+  take_one_step(model);
+  const fs::path p = write_blob(model, /*with_optimizer=*/true);
+
+  zoo::LoadOptions opts;
+  opts.score_only = true;
+  auto served = zoo::load_model_blob(p, opts);
+  EXPECT_TRUE(served.mapped);
+  EXPECT_TRUE(served.model.gradients().empty());
+  EXPECT_TRUE(served.model.optimizer_state().m.empty());
+
+  const auto s = ring_sample();
+  EXPECT_TRUE(bit_equal(model.predict(s, false), served.model.score(s)));
+  EXPECT_THROW(served.model.adam_step(1), std::logic_error);
+  EXPECT_THROW(served.model.accumulate_gradients(s), std::logic_error);
 }
 
 TEST_F(BlobTest, MaterializeMakesMappedModelTrainable) {
@@ -552,6 +643,159 @@ TEST(Registry, FindBumpIsStrictlyMonotonicEvenAgainstFutureMtimes) {
 }
 
 // ---------------------------------------------------------------------------
+// Served-handle cache: a blob is verified once per identity, its own LRU
+// bump is not a change, and any real change is served fresh.
+
+std::string blob_of(const gnn::Dgcnn& model) {
+  return zoo::encode_model_blob(model, common::Json::object(), /*with_optimizer=*/true);
+}
+
+TEST(HandleCache, VerifiesOnceAndFollowsItsOwnBump) {
+  TempDir dir("handles");
+  const zoo::Registry reg(dir.path / "zoo");
+  const auto model = small_model();
+  reg.insert("k", blob_of(model));
+  const auto stale = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(reg.entry_path("k"), stale);
+
+  common::MetricsRegistry::instance().reset();
+  const auto first = reg.serve("k");
+  ASSERT_NE(first, nullptr);
+  EXPECT_GT(fs::last_write_time(reg.entry_path("k")), stale) << "serve() must LRU-bump";
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(reg.serve("k"), first) << "serve " << i;
+  if (common::metrics_enabled()) {
+    EXPECT_EQ(counter("serving.handle_loads"), 1);
+    EXPECT_EQ(counter("serving.handle_hits"), 3);
+  }
+  EXPECT_TRUE(first->mapped);
+  EXPECT_TRUE(first->model.gradients().empty());
+  EXPECT_TRUE(bit_equal(first->model.score(ring_sample()),
+                        small_model().predict(ring_sample(), false)));
+  EXPECT_EQ(reg.serve("missing"), nullptr);
+}
+
+TEST(HandleCache, ReplacedBlobIsServedFreshNeverStale) {
+  TempDir dir("handles-replace");
+  const zoo::Registry reg(dir.path / "zoo");
+  const auto s = ring_sample();
+  const auto a = small_model(7);
+  const auto b = small_model(8);
+  ASSERT_FALSE(bit_equal(a.score(s), b.score(s)));
+
+  reg.insert("k", blob_of(a));
+  const auto served_a = reg.serve("k");
+  ASSERT_NE(served_a, nullptr);
+  EXPECT_TRUE(bit_equal(served_a->model.score(s), a.score(s)));
+
+  // Through insert (which forgets the handle) ...
+  reg.insert("k", blob_of(b));
+  EXPECT_TRUE(bit_equal(reg.serve("k")->model.score(s), b.score(s)));
+  // ... and behind the registry's back: a rename of a new inode over the
+  // entry, which only the identity check can notice.
+  common::atomic_write_file(reg.entry_path("k"), blob_of(a));
+  EXPECT_TRUE(bit_equal(reg.serve("k")->model.score(s), a.score(s)));
+  // The handle a running job holds stays valid after its entry was replaced.
+  EXPECT_TRUE(bit_equal(served_a->model.score(s), a.score(s)));
+}
+
+TEST(HandleCache, InPlaceWriteOrForeignBumpReverifies) {
+  TempDir dir("handles-inplace");
+  const zoo::Registry reg(dir.path / "zoo");
+  reg.insert("k", blob_of(small_model()));
+  const auto first = reg.serve("k");
+  ASSERT_NE(first, nullptr);
+
+  // A bump by someone else (another process's find, here a plain mtime
+  // write) is an identity change the cache cannot tell from a write: it
+  // reloads, and the bytes still verify.
+  common::MetricsRegistry::instance().reset();
+  fs::last_write_time(reg.entry_path("k"), fs::last_write_time(reg.entry_path("k")) +
+                                               std::chrono::seconds(1));
+  const auto reloaded = reg.serve("k");
+  ASSERT_NE(reloaded, nullptr);
+  EXPECT_NE(reloaded, first);
+  if (common::metrics_enabled()) {
+    EXPECT_EQ(counter("serving.handle_loads"), 1);
+  }
+
+  // Same inode, same size, new mtime, bad bytes: re-verified and rejected.
+  corrupt_in_place(reg.entry_path("k"));
+  EXPECT_THROW(reg.serve("k"), zoo::ZooError);
+  EXPECT_THROW(reg.serve("k"), zoo::ZooError) << "a rejected blob must not be cached";
+}
+
+TEST(HandleCache, MmapModeIsPartOfTheKey) {
+  TempDir dir("handles-mode");
+  const zoo::Registry reg(dir.path / "zoo");
+  reg.insert("k", blob_of(small_model()));
+  const auto mapped = reg.serve("k");
+  ASSERT_NE(mapped, nullptr);
+  EXPECT_GT(mapped->bytes_mapped, 0u);
+
+  ::setenv("MUXLINK_ZOO_MMAP", "0", 1);
+  const auto copied = reg.serve("k");
+  ::unsetenv("MUXLINK_ZOO_MMAP");
+  ASSERT_NE(copied, nullptr);
+  EXPECT_FALSE(copied->mapped);
+  EXPECT_EQ(copied->bytes_mapped, 0u);
+  EXPECT_GT(reg.serve("k")->bytes_mapped, 0u);
+}
+
+TEST(HandleCache, GcDropsTheHandle) {
+  TempDir dir("handles-gc");
+  const zoo::Registry reg(dir.path / "zoo");
+  reg.insert("k", blob_of(small_model()));
+  std::weak_ptr<const zoo::LoadedModel> weak = reg.serve("k");
+  ASSERT_FALSE(weak.expired()) << "the cache holds the handle";
+  const auto res = reg.gc(0);
+  ASSERT_EQ(res.evicted.size(), 1u);
+  EXPECT_TRUE(weak.expired()) << "gc must drop the evicted entry's mapping";
+  EXPECT_EQ(reg.serve("k"), nullptr);
+}
+
+TEST(HandleCache, ConcurrentServesShareOneVerifiedHandle) {
+  TempDir dir("handles-threads");
+  const zoo::Registry reg(dir.path / "zoo");
+  const auto model = small_model();
+  reg.insert("k", blob_of(model));
+  std::vector<gnn::GraphSample> samples;
+  std::vector<double> want;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    samples.push_back(ring_sample(10 + static_cast<int>(i), 6, i));
+    want.push_back(model.score(samples.back()));
+  }
+
+  common::MetricsRegistry::instance().reset();
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 25;
+  std::atomic<int> mismatches{0};
+  std::vector<const zoo::LoadedModel*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const auto h = reg.serve("k");
+        if (!h) {
+          ++mismatches;
+          continue;
+        }
+        if (r == 0) seen[t] = h.get();
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+          if (!bit_equal(h->model.score(samples[i]), want[i])) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [&](auto* p) { return p == seen[0]; }));
+  if (common::metrics_enabled()) {
+    EXPECT_EQ(counter("serving.handle_loads"), 1);
+    EXPECT_EQ(counter("serving.handle_hits"), kThreads * kRounds - 1);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Per-link score cache: LRU semantics, bit-exact persistence, corrupt files.
 
 TEST(ScoreCache, LruEvictionAndHitBumping) {
@@ -742,6 +986,80 @@ TEST(ZooEndToEnd, ServedRunsAreBitIdenticalToTheTrainingRun) {
   EXPECT_TRUE(tuned_again.serving.zoo_hit);
   EXPECT_EQ(tuned_again.serving.zoo_key, tuned.serving.zoo_key);
   expect_same_attack_result(tuned, tuned_again, "tuned");
+}
+
+// The served path's mechanisms, end to end: a second in-process warm run
+// loads no blob, a fully-hit run leaves the score-cache file alone, a run
+// with a miss rewrites it, and an in-place corruption of a cached blob falls
+// back to training.
+TEST(ZooServing, WarmRunsReuseHandlesAndSkipIdenticalCacheWrites) {
+  netlist::Netlist original = [] {
+    circuitgen::CircuitSpec spec;
+    spec.seed = 6;
+    spec.num_gates = 140;
+    spec.num_inputs = 10;
+    spec.num_outputs = 5;
+    return circuitgen::generate(spec);
+  }();
+  locking::MuxLockOptions lo;
+  lo.key_bits = 6;
+  lo.seed = 4;
+  const auto design = locking::lock_dmux(original, lo);
+
+  TempDir dir("serving");
+  core::MuxLinkOptions opts;
+  opts.epochs = 3;
+  opts.learning_rate = 1e-3;
+  opts.max_train_links = 150;
+  opts.seed = 5;
+  opts.use_zoo = true;
+  opts.zoo_dir = (dir.path / "zoo").string();
+  opts.scheme = "dmux";
+
+  const auto cold = core::MuxLinkAttack(opts).run(design.netlist);
+  ASSERT_FALSE(cold.serving.zoo_hit);
+  const zoo::Registry reg(dir.path / "zoo");
+  const fs::path msc = reg.score_cache_path(cold.serving.zoo_key);
+  const auto written = inode_and_mtime(msc);
+
+  common::MetricsRegistry::instance().reset();
+  const auto warm1 = core::MuxLinkAttack(opts).run(design.netlist);
+  const std::int64_t loads_after_first = counter("serving.handle_loads");
+  const auto warm2 = core::MuxLinkAttack(opts).run(design.netlist);
+  ASSERT_TRUE(warm1.serving.zoo_hit);
+  ASSERT_TRUE(warm2.serving.zoo_hit);
+  EXPECT_EQ(warm2.serving.cache_misses, 0u);
+  expect_same_attack_result(cold, warm1, "warm1");
+  expect_same_attack_result(cold, warm2, "warm2");
+  if (common::metrics_enabled()) {
+    EXPECT_EQ(loads_after_first, 1) << "the first warm run verifies the blob";
+    EXPECT_EQ(counter("serving.handle_loads"), loads_after_first)
+        << "a second in-process warm run must not load again";
+    EXPECT_EQ(counter("serving.handle_hits"), 1);
+  }
+  EXPECT_EQ(inode_and_mtime(msc), written) << "fully-hit runs must not rewrite the score cache";
+
+  // Drop the oldest cached score: the next run misses once and must persist.
+  {
+    zoo::ScoreCache full(opts.score_cache_capacity);
+    ASSERT_TRUE(full.load(msc));
+    zoo::ScoreCache fewer(full.size() - 1);
+    ASSERT_TRUE(fewer.load(msc));
+    common::atomic_write_file(msc, slurp(msc));  // fresh inode, same bytes
+    fewer.save(msc);
+  }
+  const auto trimmed = inode_and_mtime(msc);
+  const auto missed = core::MuxLinkAttack(opts).run(design.netlist);
+  EXPECT_EQ(missed.serving.cache_misses, 1u);
+  expect_same_attack_result(cold, missed, "missed");
+  EXPECT_NE(inode_and_mtime(msc), trimmed) << "a run with a miss must rewrite the score cache";
+
+  // A cached blob corrupted in place (same inode and size, new mtime) is
+  // re-verified, rejected, and retrained — never served from the old handle.
+  corrupt_in_place(reg.entry_path(cold.serving.zoo_key));
+  const auto repaired = core::MuxLinkAttack(opts).run(design.netlist);
+  EXPECT_FALSE(repaired.serving.zoo_hit);
+  expect_same_attack_result(cold, repaired, "repaired");
 }
 
 }  // namespace

@@ -39,6 +39,7 @@
 #include "common/run_manifest.h"
 #include "daemon/client.h"
 #include "daemon/server.h"
+#include "gnn/simd.h"
 #include "locking/mux_lock.h"
 #include "muxlink/job.h"
 #include "netlist/bench_io.h"
@@ -174,6 +175,7 @@ int main(int argc, char** argv) {
     extra["epochs"] = base.epochs;
     extra["links"] = static_cast<std::int64_t>(base.max_train_links);
     extra["daemon_stats"] = stats;
+    extra["cpu"] = gnn::cpu_info_json();
     m.extra = std::move(extra);
     m.observability = common::observability_to_json();
 
