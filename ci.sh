@@ -7,7 +7,8 @@
 #   ./ci.sh tier1    # Release build + ctest only
 #   ./ci.sh san      # sanitizer build + ctest only
 #   ./ci.sh docs     # report pipeline + manifest validation + Markdown links
-#   ./ci.sh faults   # kill-and-resume e2e + netlist fuzz smoke (sanitized)
+#   ./ci.sh faults   # kill-and-resume e2e, the saved model reloaded as a
+#                    # warm-start ref, and a netlist fuzz smoke (sanitized)
 #   ./ci.sh simd     # GNN suites under MUXLINK_SIMD=scalar and =avx2, plus
 #                    # an ASan+UBSan pass over the vectorized kernels; the
 #                    # avx2 leg skips gracefully on hosts without AVX2+FMA
@@ -164,6 +165,10 @@ run_faults() {
     --checkpoint-dir "$d/ck" --resume --save-model "$d/resumed.model" >/dev/null
   cmp "$d/base.model" "$d/resumed.model" \
     || { echo "resumed model is not bit-identical" >&2; rm -rf "$d"; return 1; }
+  # The saved model is an MXZOO1 blob, so it must load as a warm-start ref.
+  "$cli" attack "$d/l.bench" --epochs 6 --links 120 --seed 7 --threads 2 \
+    --warm-start "$d/resumed.model" --warm-epochs 1 --zoo-dir "$d/zoo" >/dev/null \
+    || { echo "saved model does not load as a warm-start ref" >&2; rm -rf "$d"; return 1; }
 
   # Deterministic mutation fuzzing of the netlist parsers, time-boxed:
   # mutated BENCH/Verilog inputs must parse or raise NetlistError, never

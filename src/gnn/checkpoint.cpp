@@ -1,178 +1,96 @@
 #include "gnn/checkpoint.h"
 
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <type_traits>
+#include <cmath>
+#include <iterator>
 
 #include "common/atomic_file.h"
-#include "common/crc32.h"
 #include "common/fault.h"
+#include "gnn/container.h"
 
 namespace muxlink::gnn {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'X', 'C', 'K', 'P', 'T', '1', '\n'};
-// Corrupt-but-CRC-colliding (or hand-crafted) files must not drive
-// allocations: a DGCNN has ~10 tensors and well under 10^7 scalars.
-constexpr std::uint32_t kMaxTensors = 4096;
-constexpr std::size_t kMaxTensorElems = std::size_t{1} << 28;
-constexpr std::uint32_t kMaxRngLen = 1 << 16;
+// Table order on disk: the four groups back to back, each in parameter order.
+constexpr TensorKind kGroupKinds[] = {TensorKind::kParam, TensorKind::kBest, TensorKind::kAdamM,
+                                      TensorKind::kAdamV};
 
-template <typename T>
-void put(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.append(buf, sizeof(T));
-}
+// Cursor fields in meta.trainer besides seed, adam_t and rng_state.
+constexpr std::pair<const char*, int TrainerCheckpoint::*> kIntFields[] = {
+    {"total_epochs", &TrainerCheckpoint::total_epochs},
+    {"epoch", &TrainerCheckpoint::epoch},
+    {"rollbacks", &TrainerCheckpoint::rollbacks},
+    {"best_epoch", &TrainerCheckpoint::best_epoch}};
+constexpr std::pair<const char*, double TrainerCheckpoint::*> kDoubleFields[] = {
+    {"learning_rate", &TrainerCheckpoint::learning_rate},
+    {"best_val_accuracy", &TrainerCheckpoint::best_val_accuracy},
+    {"best_train_loss", &TrainerCheckpoint::best_train_loss}};
 
-void put_tensors(std::string& out, const std::vector<Matrix>& tensors) {
-  for (const Matrix& m : tensors) {
-    put<std::int32_t>(out, m.rows);
-    put<std::int32_t>(out, m.cols);
-    // Row by logical row: the MXCKPT1 payload stores rows*cols doubles, not
-    // the SIMD-padded rows*ld storage (matrix.h).
-    for (int r = 0; r < m.rows; ++r) {
-      out.append(reinterpret_cast<const char*>(m.row(r)),
-                 static_cast<std::size_t>(m.cols) * sizeof(double));
-    }
+TrainerCheckpoint decode_container_checkpoint(std::string_view bytes) {
+  const Container c = decode_container(bytes.data(), bytes.size());
+
+  // Every group must mirror the parameter group's shapes, checked on the
+  // table before any tensor is copied. parse_table admits kinds 0..3 only.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> shapes[std::size(kGroupKinds)];
+  for (const TensorEntry& e : c.table) {
+    shapes[static_cast<std::size_t>(e.kind)].emplace_back(e.rows, e.cols);
   }
-}
-
-// Bounds-checked forward-only reader over the payload.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (bytes_.size() - pos_ < sizeof(T)) {
-      throw CheckpointError("checkpoint truncated (payload ends mid-field)");
-    }
-    T value;
-    std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
+  for (const auto& group : shapes) {
+    if (group != shapes[0]) throw ModelFormatError("checkpoint tensor groups disagree");
   }
 
-  std::string get_bytes(std::size_t n) {
-    if (bytes_.size() - pos_ < n) {
-      throw CheckpointError("checkpoint truncated (payload ends mid-field)");
-    }
-    std::string s(bytes_.substr(pos_, n));
-    pos_ += n;
-    return s;
+  const common::Json& t = meta_field(c.meta, "trainer", common::Json::Type::kObject);
+  TrainerCheckpoint ckpt;
+  // The u64 seed travels as its int64 bit pattern.
+  ckpt.seed = static_cast<std::uint64_t>(meta_field(t, "seed", common::Json::Type::kInt).as_int());
+  for (const auto& [key, field] : kIntFields) ckpt.*field = meta_int(t, key);
+  for (const auto& [key, field] : kDoubleFields) {
+    ckpt.*field = meta_field(t, key, common::Json::Type::kDouble).as_double();
   }
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<Matrix> get_tensors(Cursor& cur, std::uint32_t count) {
-  std::vector<Matrix> tensors;
-  tensors.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto rows = cur.get<std::int32_t>();
-    const auto cols = cur.get<std::int32_t>();
-    if (rows < 0 || cols < 0 ||
-        (rows > 0 && static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) >
-                         kMaxTensorElems)) {
-      throw CheckpointError("checkpoint has an implausible tensor shape " +
-                            std::to_string(rows) + "x" + std::to_string(cols));
-    }
-    Matrix m(rows, cols);
-    const std::size_t row_bytes = static_cast<std::size_t>(cols) * sizeof(double);
-    const std::string raw = cur.get_bytes(static_cast<std::size_t>(rows) * row_bytes);
-    for (int r = 0; r < rows; ++r) {
-      std::memcpy(m.row(r), raw.data() + static_cast<std::size_t>(r) * row_bytes, row_bytes);
-    }
-    tensors.push_back(std::move(m));
-  }
-  return tensors;
+  ckpt.adam_t = static_cast<long>(meta_field(t, "adam_t", common::Json::Type::kInt).as_int());
+  ckpt.rng_state = meta_field(t, "rng_state", common::Json::Type::kString).as_string();
+  ckpt.params = c.copy_all(TensorKind::kParam);
+  ckpt.best_params = c.copy_all(TensorKind::kBest);
+  ckpt.adam_m = c.copy_all(TensorKind::kAdamM);
+  ckpt.adam_v = c.copy_all(TensorKind::kAdamV);
+  return ckpt;
 }
 
 }  // namespace
 
 std::string encode_checkpoint(const TrainerCheckpoint& ckpt) {
-  const std::size_t groups[] = {ckpt.best_params.size(), ckpt.adam_m.size(),
-                                ckpt.adam_v.size()};
-  for (std::size_t n : groups) {
-    if (n != ckpt.params.size()) {
+  const std::vector<Matrix>* groups[] = {&ckpt.params, &ckpt.best_params, &ckpt.adam_m,
+                                         &ckpt.adam_v};
+  std::vector<std::pair<TensorKind, const Matrix*>> tensors;
+  for (std::size_t g = 0; g < std::size(groups); ++g) {
+    if (groups[g]->size() != ckpt.params.size()) {
       throw std::invalid_argument("encode_checkpoint: tensor group sizes differ");
     }
+    for (const Matrix& m : *groups[g]) tensors.emplace_back(kGroupKinds[g], &m);
   }
-  std::string out(kMagic, sizeof(kMagic));
-  std::string payload;
-  put<std::uint64_t>(payload, ckpt.seed);
-  put<std::int32_t>(payload, ckpt.total_epochs);
-  put<std::int32_t>(payload, ckpt.epoch);
-  put<double>(payload, ckpt.learning_rate);
-  put<std::int32_t>(payload, ckpt.rollbacks);
-  put<std::int32_t>(payload, ckpt.best_epoch);
-  put<double>(payload, ckpt.best_val_accuracy);
-  put<double>(payload, ckpt.best_train_loss);
-  put<std::int64_t>(payload, ckpt.adam_t);
-  put<std::uint32_t>(payload, static_cast<std::uint32_t>(ckpt.rng_state.size()));
-  payload += ckpt.rng_state;
-  put<std::uint32_t>(payload, static_cast<std::uint32_t>(ckpt.params.size()));
-  put_tensors(payload, ckpt.params);
-  put_tensors(payload, ckpt.best_params);
-  put_tensors(payload, ckpt.adam_m);
-  put_tensors(payload, ckpt.adam_v);
-  out += payload;
-  put<std::uint32_t>(out, common::crc32(payload));
-  return out;
+  common::Json meta = common::Json::object();
+  common::Json& t = meta["trainer"];
+  t["seed"] = ckpt.seed;
+  for (const auto& [key, field] : kIntFields) t[key] = ckpt.*field;
+  for (const auto& [key, field] : kDoubleFields) {
+    // JSON has no non-finite numbers (they print as null, which decoding
+    // rejects): refuse to write a checkpoint that could not be resumed.
+    if (!std::isfinite(ckpt.*field)) {
+      throw std::invalid_argument(std::string("encode_checkpoint: non-finite ") + key);
+    }
+    t[key] = ckpt.*field;
+  }
+  t["adam_t"] = ckpt.adam_t;
+  t["rng_state"] = ckpt.rng_state;
+  return encode_container(tensors, meta);
 }
 
 TrainerCheckpoint decode_checkpoint(std::string_view bytes) {
-  if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t)) {
-    throw CheckpointError("checkpoint too short to hold magic + CRC");
+  try {
+    return decode_container_checkpoint(bytes);
+  } catch (const ModelFormatError& e) {
+    throw CheckpointError(std::string("checkpoint: ") + e.what());
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw CheckpointError("checkpoint has bad magic (not a MXCKPT1 file)");
-  }
-  const std::string_view payload =
-      bytes.substr(sizeof(kMagic), bytes.size() - sizeof(kMagic) - sizeof(std::uint32_t));
-  std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(std::uint32_t),
-              sizeof(std::uint32_t));
-  if (common::crc32(payload) != stored_crc) {
-    throw CheckpointError("checkpoint CRC mismatch (corrupt or torn file)");
-  }
-
-  Cursor cur(payload);
-  TrainerCheckpoint ckpt;
-  ckpt.seed = cur.get<std::uint64_t>();
-  ckpt.total_epochs = cur.get<std::int32_t>();
-  ckpt.epoch = cur.get<std::int32_t>();
-  ckpt.learning_rate = cur.get<double>();
-  ckpt.rollbacks = cur.get<std::int32_t>();
-  ckpt.best_epoch = cur.get<std::int32_t>();
-  ckpt.best_val_accuracy = cur.get<double>();
-  ckpt.best_train_loss = cur.get<double>();
-  ckpt.adam_t = cur.get<std::int64_t>();
-  const auto rng_len = cur.get<std::uint32_t>();
-  if (rng_len > kMaxRngLen) throw CheckpointError("checkpoint RNG state implausibly large");
-  ckpt.rng_state = cur.get_bytes(rng_len);
-  const auto num_tensors = cur.get<std::uint32_t>();
-  if (num_tensors > kMaxTensors) {
-    throw CheckpointError("checkpoint tensor count implausibly large");
-  }
-  ckpt.params = get_tensors(cur, num_tensors);
-  ckpt.best_params = get_tensors(cur, num_tensors);
-  ckpt.adam_m = get_tensors(cur, num_tensors);
-  ckpt.adam_v = get_tensors(cur, num_tensors);
-  if (cur.remaining() != 0) {
-    throw CheckpointError("checkpoint has " + std::to_string(cur.remaining()) +
-                          " trailing payload bytes");
-  }
-  return ckpt;
 }
 
 void save_checkpoint_file(const TrainerCheckpoint& ckpt, const std::filesystem::path& path) {
@@ -181,14 +99,9 @@ void save_checkpoint_file(const TrainerCheckpoint& ckpt, const std::filesystem::
 }
 
 TrainerCheckpoint load_checkpoint_file(const std::filesystem::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw CheckpointError("cannot open checkpoint '" + path.string() + "'");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (!is && !is.eof()) throw CheckpointError("read failure on checkpoint '" + path.string() + "'");
   try {
-    return decode_checkpoint(buf.str());
-  } catch (const CheckpointError& e) {
+    return decode_container_checkpoint(read_container_file(path));
+  } catch (const ModelFormatError& e) {
     throw CheckpointError("'" + path.string() + "': " + e.what());
   }
 }

@@ -1,30 +1,14 @@
 // Crash-safe trainer checkpoints (DESIGN.md §8).
 //
-// A checkpoint is the COMPLETE trainer state at an epoch boundary — current
-// parameters, best-on-validation parameters, Adam moments + step counter,
-// the shuffle RNG cursor, the (possibly rollback-decayed) learning rate,
-// and the best/rollback bookkeeping. Because the trainer is deterministic
-// (DESIGN.md §5), restoring this state and running the remaining epochs
-// produces a final model bit-identical to an uninterrupted run; raw IEEE-754
-// bytes are stored so no decimal round-trip can perturb that.
-//
-// On-disk format (host-endian binary; a local resume artifact, not an
-// interchange format — ship models with gnn/serialize.h instead):
-//
-//   magic   "MXCKPT1\n" (8 bytes)
-//   payload u64 seed · i32 total_epochs · i32 epoch · f64 learning_rate ·
-//           i32 rollbacks · i32 best_epoch · f64 best_val_accuracy ·
-//           f64 best_train_loss · i64 adam_t ·
-//           u32 rng_len + rng_state bytes (std::mt19937_64 text form) ·
-//           u32 num_tensors ·
-//           4 tensor groups (params, best_params, adam_m, adam_v), each
-//           num_tensors × { i32 rows · i32 cols · rows*cols f64 }
-//   crc32   u32 over the payload
-//
-// Files are written via common::atomic_write_file, so a crash mid-write can
-// never tear the checkpoint: readers see the previous complete state or the
-// new one. Any mismatch (magic, CRC, truncation, trailing bytes, absurd
-// dimensions) raises CheckpointError — never garbage state.
+// A checkpoint is the COMPLETE trainer state at an epoch boundary, so that
+// resuming the deterministic trainer (DESIGN.md §5) finishes bit-identical
+// to an uninterrupted run. On disk it is an MXZOO1 container
+// (gnn/container.h): tensor kinds param, best, adam_m and adam_v, each group
+// in parameter order, and the cursor fields below in meta under "trainer".
+// Files are written via common::atomic_write_file, so a crash mid-write
+// leaves the previous complete checkpoint. Any malformation — including
+// tensor groups that disagree and a missing or null cursor field — raises
+// CheckpointError, never garbage state.
 #pragma once
 
 #include <cstdint>

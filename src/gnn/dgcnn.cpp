@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -55,18 +56,49 @@ int choose_sortpool_k(std::vector<int> sizes, double fraction) {
   return std::max(10, sizes[idx]);
 }
 
+std::vector<std::pair<int, int>> Dgcnn::parameter_shapes(int feature_dim,
+                                                         const DgcnnConfig& cfg) {
+  if (cfg.conv_channels.empty()) throw std::invalid_argument("Dgcnn: need conv layers");
+  if (cfg.sortpool_k < 2) throw std::invalid_argument("Dgcnn: sortpool_k too small");
+  const long long cat_dim =
+      std::accumulate(cfg.conv_channels.begin(), cfg.conv_channels.end(), 0LL);
+  const long long conv2_len = cfg.sortpool_k / 2 - static_cast<long long>(cfg.conv1d_kernel2) + 1;
+  if (conv2_len < 1) {
+    throw std::invalid_argument("Dgcnn: sortpool_k too small for the 1-D conv stack");
+  }
+  std::vector<std::pair<long long, long long>> wide;
+  long long in_dim = feature_dim;
+  for (int c : cfg.conv_channels) {
+    wide.emplace_back(in_dim, c);
+    in_dim = c;
+  }
+  const long long ch1 = cfg.conv1d_channels1, ch2 = cfg.conv1d_channels2, dense = cfg.dense_units;
+  wide.insert(wide.end(), {{ch1, cat_dim}, {1, ch1}, {ch2, ch1 * cfg.conv1d_kernel2}, {1, ch2},
+                           {dense, conv2_len * ch2}, {1, dense}, {2, dense}, {1, 2}});
+  // Widths arrive from model files: a non-positive width or an element count
+  // an int cannot index is rejected here, before anything is allocated.
+  constexpr long long kMax = std::numeric_limits<int>::max();
+  std::vector<std::pair<int, int>> shapes;
+  for (const auto& [rows, cols] : wide) {
+    if (rows < 1 || cols < 1 || rows > kMax || cols > kMax || rows * cols > kMax) {
+      throw std::invalid_argument("Dgcnn: layer widths must be positive and fit an int");
+    }
+    shapes.emplace_back(static_cast<int>(rows), static_cast<int>(cols));
+  }
+  return shapes;
+}
+
 Dgcnn::Dgcnn(int feature_dim, const DgcnnConfig& config)
     : cfg_(config), feature_dim_(feature_dim), rng_(config.seed) {
-  if (cfg_.conv_channels.empty()) throw std::invalid_argument("Dgcnn: need conv layers");
-  if (cfg_.sortpool_k < 2) throw std::invalid_argument("Dgcnn: sortpool_k too small");
+  const auto shapes = parameter_shapes(feature_dim_, cfg_);
   cat_dim_ = std::accumulate(cfg_.conv_channels.begin(), cfg_.conv_channels.end(), 0);
   pooled_len_ = cfg_.sortpool_k / 2;
   conv2_len_ = pooled_len_ - cfg_.conv1d_kernel2 + 1;
-  if (conv2_len_ < 1) {
-    throw std::invalid_argument("Dgcnn: sortpool_k too small for the 1-D conv stack");
-  }
 
-  auto add_param = [&](int rows, int cols, bool init) {
+  // Parameters are created in parameter_shapes() order; weights draw their
+  // Glorot init from rng_ in that order, biases start at zero.
+  auto add_param = [&](bool init) {
+    const auto [rows, cols] = shapes[params_.size()];
     Matrix m(rows, cols);
     if (init) m.glorot(rng_);
     params_.push_back(std::move(m));
@@ -76,19 +108,15 @@ Dgcnn::Dgcnn(int feature_dim, const DgcnnConfig& config)
     return static_cast<int>(params_.size()) - 1;
   };
 
-  int in_dim = feature_dim_;
-  for (int c : cfg_.conv_channels) {
-    w_conv_.push_back(add_param(in_dim, c, true));
-    in_dim = c;
-  }
-  k1_ = add_param(cfg_.conv1d_channels1, cat_dim_, true);
-  b1_ = add_param(1, cfg_.conv1d_channels1, false);
-  k2_ = add_param(cfg_.conv1d_channels2, cfg_.conv1d_channels1 * cfg_.conv1d_kernel2, true);
-  b2_ = add_param(1, cfg_.conv1d_channels2, false);
-  w5_ = add_param(cfg_.dense_units, conv2_len_ * cfg_.conv1d_channels2, true);
-  b5_ = add_param(1, cfg_.dense_units, false);
-  w6_ = add_param(2, cfg_.dense_units, true);
-  b6_ = add_param(1, 2, false);
+  for (std::size_t l = 0; l < cfg_.conv_channels.size(); ++l) w_conv_.push_back(add_param(true));
+  k1_ = add_param(true);
+  b1_ = add_param(false);
+  k2_ = add_param(true);
+  b2_ = add_param(false);
+  w5_ = add_param(true);
+  b5_ = add_param(false);
+  w6_ = add_param(true);
+  b6_ = add_param(false);
 }
 
 double Dgcnn::forward(const GraphSample& g, bool training, Workspace& ws,

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "gnn/matrix.h"
@@ -75,6 +76,14 @@ struct DgcnnConfig {
 class Dgcnn {
  public:
   Dgcnn(int feature_dim, const DgcnnConfig& config);
+
+  // rows × cols of every parameter tensor, in save_parameters() order.
+  // Throws std::invalid_argument for a topology no model can have (empty
+  // conv stack, sortpool_k too small, a non-positive width, a tensor larger
+  // than an int can index) without allocating it — model-file loaders check
+  // a declared topology against their tensor table through this.
+  static std::vector<std::pair<int, int>> parameter_shapes(int feature_dim,
+                                                           const DgcnnConfig& config);
 
   const DgcnnConfig& config() const noexcept { return cfg_; }
   int feature_dim() const noexcept { return feature_dim_; }

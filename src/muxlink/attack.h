@@ -68,8 +68,9 @@ struct MuxLinkOptions {
   // clipping (0 = off) and the divergence-rollback budget.
   double clip_grad = 0.0;
   int max_rollbacks = 3;
-  // When non-empty, the trained model is saved here (gnn/serialize.h
-  // format; ensemble members append ".<e>" before the extension).
+  // When non-empty, the trained model is saved here as an MXZOO1 blob with
+  // its Adam moments (zoo/model_blob.h), usable as a warm-start ref; ensemble
+  // members append ".<e>" before the extension.
   std::string model_out;
 
   // --- serving layer (DESIGN.md §11) ----------------------------------

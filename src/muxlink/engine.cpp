@@ -8,12 +8,12 @@
 #include <optional>
 #include <stdexcept>
 
+#include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "gnn/encoding.h"
-#include "gnn/serialize.h"
 #include "gnn/simd.h"
 #include "graph/sampling.h"
 #include "graph/subgraph.h"
@@ -325,6 +325,20 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
                            });
     }
     result.training = reports[0];
+    // Provenance each member's container carries — the same meta for the
+    // registry blob and the --save-model file, and none of it run-dependent
+    // (no path, thread count, time or resume epoch), so a resumed run saves
+    // the bytes an uninterrupted one does.
+    const auto member_meta = [&](int e) {
+      common::Json meta = common::Json::object();
+      if (registry) meta["key"] = member_keys[e];
+      meta["circuit"] = locked.name();
+      meta["scheme"] = opts.scheme.empty() ? "none" : opts.scheme;
+      meta["hops"] = opts.hops;
+      meta["ensemble"] = ensemble;
+      meta["member"] = e;
+      return meta;
+    };
     if (!opts.model_out.empty()) {
       for (int e = 0; e < ensemble; ++e) {
         std::filesystem::path out(opts.model_out);
@@ -332,7 +346,7 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
           out.replace_filename(out.stem().string() + "." + std::to_string(e) +
                                out.extension().string());
         }
-        gnn::save_model_file(models[e], out);
+        common::atomic_write_file(out, zoo::encode_model_blob(models[e], member_meta(e), true));
       }
     }
     MUXLINK_FAULT_POINT("attack.train.done");
@@ -343,13 +357,7 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
     if (registry) {
       MUXLINK_TRACE("attack.zoo_insert");
       for (int e = 0; e < ensemble; ++e) {
-        common::Json meta = common::Json::object();
-        meta["key"] = member_keys[e];
-        meta["circuit"] = locked.name();
-        meta["scheme"] = opts.scheme.empty() ? "none" : opts.scheme;
-        meta["hops"] = opts.hops;
-        meta["ensemble"] = ensemble;
-        meta["member"] = e;
+        common::Json meta = member_meta(e);
         if (warm) meta["warm_start"] = opts.warm_start;
         registry->insert(member_keys[e], zoo::encode_model_blob(models[e], std::move(meta), true));
       }

@@ -1,59 +1,25 @@
-// MXZOO1 — the binary, mmap-able trained-model container behind the model
-// zoo (DESIGN.md §11). Unlike the portable text format (gnn/serialize.h,
-// logical elements only), a zoo blob stores every tensor in the SIMD memory
-// layout the kernels consume directly — rows × ld doubles, ld =
-// Matrix::padded_cols(cols), each row 32-byte aligned, pad lanes zero — at
-// 32-byte-aligned file offsets. A warm attack therefore mmap()s the file,
-// verifies the CRC over the mapped bytes (no copy), and points the model's
-// weight matrices INTO the mapping: deserialization costs zero tensor
-// copies and the page cache shares the weights across processes.
-//
-// File layout (host-endian; a cache artifact like MXCKPT1, not an
-// interchange format):
-//
-//   [0, 8)     magic "MXZOO1\0\n"
-//   [8, 96)    fixed header:
-//                u32 header_version (1)
-//                u32 layout_version (gnn::kLayoutPaddedSimd)
-//                u32 simd_lanes     (doubles per row-padding unit, 4)
-//                u32 simd_align     (tensor offset alignment, 32)
-//                u32 tensor_count
-//                u32 flags          (bit 0: Adam moments present)
-//                u64 meta_offset    (= 96)
-//                u64 meta_len
-//                u64 table_offset
-//                u64 data_offset
-//                u64 file_size
-//                u32 payload_crc    (CRC-32 over [meta_offset, file_size))
-//                zero padding to 96
-//   meta       JSON: model config (topology, sortpool_k, seed, adam_t) +
-//              registry provenance (circuit, scheme, hops, training config)
-//   table      tensor_count × { u32 kind (0 param / 1 adam_m / 2 adam_v),
-//                u32 rows, u32 cols, u32 ld, u64 offset, u64 bytes }
-//   data       tensors back to back, each offset % simd_align == 0
-//
-// Readers fall back to a streaming copy when the blob cannot be mapped in
-// place (foreign simd_lanes/ld, unaligned offsets, mmap failure, or
-// MUXLINK_ZOO_MMAP=0); an unknown layout_version is rejected outright —
-// that is the mis-read-`ld` hazard the explicit field exists to prevent.
+// Trained models as MXZOO1 containers (gnn/container.h, DESIGN.md §11): zoo
+// blobs and `muxlink attack --save-model` files. A warm attack mmap()s the
+// file, verifies the CRC over the mapped bytes, and points the model's
+// weight matrices INTO the mapping (zero tensor copies; the page cache
+// shares weights across processes), falling back to a streaming copy when
+// the blob cannot be mapped in place (foreign simd_lanes/ld, unaligned
+// offsets, mmap failure, or MUXLINK_ZOO_MMAP=0).
 #pragma once
 
 #include <filesystem>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "common/json.h"
+#include "gnn/container.h"
 #include "gnn/dgcnn.h"
 
 namespace muxlink::zoo {
 
-// Malformed, truncated, corrupt, or layout-incompatible zoo artifact.
-// Maps to the model-file CLI exit code 4 (DESIGN.md §8).
-class ZooError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+// Malformed, truncated, corrupt, or layout-incompatible zoo artifact: the
+// container's format error, CLI exit code 4 (DESIGN.md §8).
+using ZooError = gnn::ModelFormatError;
 
 // Serializes `model` (and, when `with_optimizer`, its Adam moments + step
 // counter) into MXZOO1 bytes. `meta` is embedded verbatim plus the fields
@@ -99,8 +65,10 @@ bool mmap_enabled();
 LoadedModel load_model_blob(const std::filesystem::path& path, const LoadOptions& opts = {});
 
 // Header + meta only (no CRC pass over the tensors): the cheap probe behind
-// `muxlink zoo list` / `zoo info`. Throws ZooError when even the header or
-// meta region is unreadable.
-common::Json read_blob_meta(const std::filesystem::path& path);
+// `muxlink zoo info`. Throws ZooError when even the header or meta region is
+// unreadable.
+inline common::Json read_blob_meta(const std::filesystem::path& path) {
+  return gnn::read_container_meta(path);
+}
 
 }  // namespace muxlink::zoo

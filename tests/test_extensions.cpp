@@ -1,16 +1,12 @@
-// Tests for the extension layer: DGCNN serialization, ROC-AUC evaluation,
+// Tests for the extension layer: DGCNN parameter loading, ROC-AUC evaluation,
 // the OMLA-like key-gate classifier, node subgraphs, and the CLI argument
 // parser.
 #include <gtest/gtest.h>
-
-#include <filesystem>
-#include <sstream>
 
 #include "attacks/metrics.h"
 #include "attacks/omla.h"
 #include "circuitgen/generator.h"
 #include "gnn/encoding.h"
-#include "gnn/serialize.h"
 #include "gnn/trainer.h"
 #include "graph/circuit_graph.h"
 #include "graph/sampling.h"
@@ -37,48 +33,7 @@ Netlist test_circuit(std::uint64_t seed = 1, std::size_t gates = 250) {
   return circuitgen::generate(spec);
 }
 
-// --- serialization ---------------------------------------------------------------
-
-gnn::GraphSample any_sample(std::uint64_t seed) {
-  const Netlist nl = test_circuit(seed, 150);
-  const auto g = graph::build_circuit_graph(nl);
-  const auto sg = graph::extract_enclosing_subgraph(g, g.all_edges()[2]);
-  return gnn::encode_subgraph(sg, 3, 1);
-}
-
-TEST(Serialize, RoundTripPreservesPredictions) {
-  gnn::DgcnnConfig cfg;
-  cfg.sortpool_k = 20;
-  cfg.seed = 5;
-  gnn::Dgcnn model(gnn::feature_dim_for_hops(3), cfg);
-  const auto sample = any_sample(3);
-  const double before = model.predict(sample);
-
-  std::stringstream buffer;
-  gnn::save_model(model, buffer);
-  gnn::Dgcnn loaded = gnn::load_model(buffer);
-  EXPECT_EQ(loaded.feature_dim(), model.feature_dim());
-  EXPECT_EQ(loaded.config().sortpool_k, 20);
-  EXPECT_DOUBLE_EQ(loaded.predict(sample), before);
-}
-
-TEST(Serialize, FileRoundTrip) {
-  gnn::DgcnnConfig cfg;
-  cfg.sortpool_k = 12;
-  gnn::Dgcnn model(gnn::feature_dim_for_hops(2), cfg);
-  const auto path = std::filesystem::temp_directory_path() / "muxlink_model.txt";
-  gnn::save_model_file(model, path);
-  const gnn::Dgcnn loaded = gnn::load_model_file(path);
-  EXPECT_EQ(loaded.num_parameters(), model.num_parameters());
-  std::filesystem::remove(path);
-}
-
-TEST(Serialize, RejectsGarbage) {
-  std::stringstream bad("not-a-model 3 4");
-  EXPECT_THROW(gnn::load_model(bad), std::runtime_error);
-  std::stringstream truncated("muxlink-dgcnn-v1\n46\n4 32 32 32 1\n16 32 5 128 10\n");
-  EXPECT_THROW(gnn::load_model(truncated), std::runtime_error);
-}
+// --- parameters ------------------------------------------------------------------
 
 TEST(Serialize, LoadParametersValidatesShapes) {
   gnn::DgcnnConfig cfg;

@@ -1,10 +1,9 @@
 // Fault-tolerance suite (DESIGN.md §8): CRC32 known answers, atomic file
 // writes, the deterministic fault injector, the checkpoint format's
-// corruption taxonomy, hardened model (de)serialization, divergence
-// rollback under injected NaN, in-process throw-interrupt resume, and the
-// kill-and-resume end-to-end drill through the CLI (SIGKILL at several
-// epochs and thread counts; the resumed model must be BYTE-identical to an
-// uninterrupted run's).
+// corruption taxonomy, divergence rollback under injected NaN, in-process
+// throw-interrupt resume, and the kill-and-resume end-to-end drill through
+// the CLI (SIGKILL at several epochs and thread counts; the resumed model
+// must be BYTE-identical to an uninterrupted run's).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -12,11 +11,13 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/atomic_file.h"
@@ -24,7 +25,6 @@
 #include "common/fault.h"
 #include "gnn/checkpoint.h"
 #include "gnn/dgcnn.h"
-#include "gnn/serialize.h"
 #include "gnn/trainer.h"
 
 namespace muxlink {
@@ -229,7 +229,7 @@ TEST_F(FaultsTest, CheckpointLoadReportsMissingFile) {
   EXPECT_THROW(gnn::load_checkpoint_file(dir_ / "absent.ckpt"), gnn::CheckpointError);
 }
 
-// --- hardened model format ----------------------------------------------------
+// --- trainer guardrails + resume (in-process) ---------------------------------
 
 gnn::DgcnnConfig tiny_config() {
   gnn::DgcnnConfig cfg;
@@ -243,52 +243,6 @@ gnn::DgcnnConfig tiny_config() {
   cfg.seed = 7;
   return cfg;
 }
-
-TEST_F(FaultsTest, ModelFileRejectsCorruptionTruncationAndTrailingBytes) {
-  gnn::Dgcnn model(12, tiny_config());
-  std::ostringstream os;
-  gnn::save_model(model, os);
-  const std::string text = os.str();
-
-  {  // Pristine bytes load.
-    std::istringstream is(text);
-    EXPECT_NO_THROW(gnn::load_model(is));
-  }
-  {  // One corrupted digit inside a tensor: CRC catches it.
-    std::string bad = text;
-    const std::size_t pos = bad.find("0.0");
-    ASSERT_NE(pos, std::string::npos);
-    bad[pos] = '9';
-    std::istringstream is(bad);
-    EXPECT_THROW(gnn::load_model(is), gnn::ModelFormatError);
-  }
-  {  // Truncation (lost trailer / lost tensor tail).
-    std::istringstream is(text.substr(0, text.size() / 2));
-    EXPECT_THROW(gnn::load_model(is), gnn::ModelFormatError);
-  }
-  {  // Trailing garbage after the CRC trailer.
-    std::istringstream is(text + "stowaway\n");
-    EXPECT_THROW(gnn::load_model(is), gnn::ModelFormatError);
-  }
-  {  // Old v1 magic: explicit version rejection, not a parse crash.
-    std::istringstream is(std::string("muxlink-dgcnn-v1\n") + text.substr(text.find('\n') + 1));
-    EXPECT_THROW(gnn::load_model(is), gnn::ModelFormatError);
-  }
-}
-
-TEST_F(FaultsTest, ModelFileRoundTripsThroughDisk) {
-  gnn::Dgcnn model(12, tiny_config());
-  const fs::path p = dir_ / "model.txt";
-  gnn::save_model_file(model, p);
-  gnn::Dgcnn back = gnn::load_model_file(p);
-  EXPECT_EQ(back.save_parameters().size(), model.save_parameters().size());
-  const auto a = model.save_parameters();
-  const auto b = back.save_parameters();
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].data, b[i].data);
-  EXPECT_THROW(gnn::load_model_file(dir_ / "absent.txt"), gnn::ModelFormatError);
-}
-
-// --- trainer guardrails + resume (in-process) ---------------------------------
 
 // Distinguishable two-class dataset (dense graphs vs chains), same shape as
 // the trainer tests in test_gnn.cpp.
@@ -523,6 +477,57 @@ TEST_F(FaultsTest, CliRejectsCorruptCheckpointsWithExitCode5) {
 
   // --resume without --checkpoint-dir is CLI misuse (exit 1).
   EXPECT_EQ(run_cli(attack + "--resume"), 1);
+}
+
+// Re-seals a hand-edited MXZOO1 file: payload_crc (the u32 at offset 72)
+// covers [96, end).
+void restamp_crc(std::string& bytes) {
+  const std::uint32_t crc = common::crc32(std::string_view(bytes).substr(96));
+  std::memcpy(bytes.data() + 72, &crc, sizeof crc);
+}
+
+TEST_F(FaultsTest, CliRejectsCorruptModelFilesWithExitCode4) {
+  const std::string d = dir_.string();
+  ASSERT_EQ(run_cli("gen c17 --out " + d + "/c.bench"), 0);
+  ASSERT_EQ(run_cli("lock " + d + "/c.bench --scheme dmux --key-bits 2 --seed 3 --out " + d +
+                    "/l.bench --allow-partial"),
+            0);
+  const std::string attack = "attack " + d + "/l.bench --epochs 2 --links 40 --seed 7 --threads 1 " +
+                             "--zoo-dir " + d + "/zoo ";
+  ASSERT_EQ(run_cli(attack + "--save-model " + d + "/m.mzb"), 0);
+  const std::string good = read_file(d + "/m.mzb");
+
+  // The saved model is a loadable warm-start ref...
+  EXPECT_EQ(run_cli(attack + "--warm-start " + d + "/m.mzb --warm-epochs 1"), 0);
+
+  // ...and a corrupt one is a model-format error, not a crash or misuse.
+  std::string flipped = good;
+  flipped[flipped.size() / 2] = static_cast<char>(flipped[flipped.size() / 2] ^ 0x01);
+  write_file(d + "/flipped.mzb", flipped);
+  EXPECT_EQ(run_cli(attack + "--warm-start " + d + "/flipped.mzb --warm-epochs 1"), 4);
+
+  // A CRC-valid blob whose meta declares sortpool_k 1: no model can have
+  // that topology.
+  std::string topo = good;
+  const std::string needle = "\"sortpool_k\":";
+  const auto at = topo.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  const auto begin = at + needle.size();
+  const auto end = topo.find_first_of(",}", begin);
+  topo.replace(begin, end - begin, "1" + std::string(end - begin - 1, ' '));
+  restamp_crc(topo);
+  write_file(d + "/topology.mzb", topo);
+  EXPECT_EQ(run_cli(attack + "--warm-start " + d + "/topology.mzb --warm-epochs 1"), 4);
+
+  // `zoo info` on a truncated registry entry.
+  fs::path entry;
+  for (const auto& f : fs::directory_iterator(d + "/zoo")) {
+    if (f.path().extension() == ".mzb") entry = f.path();
+  }
+  ASSERT_FALSE(entry.empty());
+  const std::string blob = read_file(entry);
+  write_file(entry, blob.substr(0, blob.size() / 2));
+  EXPECT_EQ(run_cli("zoo info " + entry.stem().string() + " --zoo-dir " + d + "/zoo"), 4);
 }
 
 }  // namespace

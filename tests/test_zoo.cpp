@@ -1,8 +1,7 @@
 // Serving-layer suite (DESIGN.md §11): streaming CRC, MXZOO1 blob round
 // trips (mmap and streaming-copy readers must agree bit for bit), registry
 // key schema + concurrent inserts + LRU gc, the served-handle cache (verify
-// once, never stale), the per-link score cache, the
-// explicit tensor-layout version in the text model format, and the
+// once, never stale), the per-link score cache, and the
 // end-to-end zoo determinism contract (a zoo-served attack is bit-identical
 // to the training run that populated the entry). The e2e cases train small
 // models, so the suite is registered as a single heavy ctest entry.
@@ -28,8 +27,8 @@
 #include "common/crc32.h"
 #include "common/json.h"
 #include "common/metrics.h"
+#include "gnn/checkpoint.h"
 #include "gnn/dgcnn.h"
-#include "gnn/serialize.h"
 #include "locking/mux_lock.h"
 #include "muxlink/attack.h"
 #include "zoo/model_blob.h"
@@ -390,57 +389,173 @@ TEST_F(BlobTest, ReadBlobMetaIsACheapProbe) {
   EXPECT_THROW(zoo::read_blob_meta(dir_.path / "missing.mzb"), zoo::ZooError);
 }
 
+// Re-seals a hand-edited container: payload_crc (the u32 at offset 72)
+// covers [96, end), so an edit past the header reaches the parsers instead
+// of stopping at the CRC check.
+void restamp_crc(std::string& bytes) {
+  const std::uint32_t crc = common::crc32(std::string_view(bytes).substr(96));
+  std::memcpy(bytes.data() + 72, &crc, sizeof crc);
+}
+
+// Replaces `"<key>":<old>` in the meta region with `"<key>":<value>`,
+// space-padded to the old width so no offset moves, and re-seals the CRC.
+std::string edit_meta(std::string bytes, const std::string& key, const std::string& value) {
+  const std::string needle = "\"" + key + "\":";
+  const auto at = bytes.find(needle);
+  const auto begin = at + needle.size();
+  const auto end = at == std::string::npos ? at : bytes.find_first_of(",}", begin);
+  if (end == std::string::npos || value.size() > end - begin) {
+    ADD_FAILURE() << "cannot edit meta field " << key;
+    return bytes;
+  }
+  bytes.replace(begin, end - begin, value + std::string(end - begin - value.size(), ' '));
+  restamp_crc(bytes);
+  return bytes;
+}
+
+TEST_F(BlobTest, TopologyTheTensorsCannotHoldIsAFormatError) {
+  const auto model = small_model();
+  const std::string good = slurp(write_blob(model, /*with_optimizer=*/true));
+  // sortpool_k 1 would abort the Dgcnn constructor; a negative width would
+  // size an allocation. Both are format errors, whichever reader runs.
+  for (const auto& [key, value] : {std::pair<std::string, std::string>{"sortpool_k", "1"},
+                                   {"dense_units", "-1"}}) {
+    SCOPED_TRACE(key + ":" + value);
+    const fs::path p = dir_.path / "topology.mzb";
+    spew(p, edit_meta(good, key, value));
+    EXPECT_THROW(zoo::load_model_blob(p), zoo::ZooError);
+    zoo::LoadOptions copy_opts;
+    copy_opts.force_copy = true;
+    copy_opts.with_optimizer = true;
+    EXPECT_THROW(zoo::load_model_blob(p, copy_opts), zoo::ZooError);
+  }
+}
+
+TEST_F(BlobTest, ReadBlobMetaNeverReadsTheTensors) {
+  const auto model = small_model();
+  const fs::path p = write_blob(model, /*with_optimizer=*/true);
+  // A sparse 1 TiB file with a valid header and meta: the probe must stat
+  // the size, not allocate it, and report the mismatch as a format error.
+  fs::resize_file(p, std::uintmax_t{1} << 40);
+  EXPECT_THROW(zoo::read_blob_meta(p), zoo::ZooError);
+}
+
 // ---------------------------------------------------------------------------
-// Satellite 2: the text model format records its layout version.
+// Deterministic mutation test of the one container decoder: a small model
+// blob and a checkpoint built from the same model, mutated in the header,
+// the tensor table and the meta bytes, with the CRC re-stamped (mostly) so
+// the mutations reach the parsers. Every decode must succeed or throw the
+// format error (CheckpointError for checkpoints) — never another exception,
+// a crash, or a sanitizer report.
 
-TEST(SerializeLayout, TextFormatCarriesExplicitLogicalLayout) {
-  const auto model = small_model();
-  std::ostringstream os;
-  gnn::save_model(model, os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("\nlayout 0\n"), std::string::npos);
+TEST(ContainerFuzz, MutatedModelsAndCheckpointsDecodeOrThrowFormatError) {
+  TempDir dir("fuzz");
+  auto model = small_model();
+  take_one_step(model);
+  common::Json meta = common::Json::object();
+  meta["circuit"] = "fuzz";
+  const std::string blob = zoo::encode_model_blob(model, meta, /*with_optimizer=*/true);
 
-  std::istringstream is(text);
-  auto reloaded = gnn::load_model(is);
-  expect_params_bit_equal(model.save_parameters(), reloaded.save_parameters());
-}
+  gnn::TrainerCheckpoint ckpt;
+  ckpt.seed = 3;
+  ckpt.total_epochs = 4;
+  ckpt.epoch = 2;
+  ckpt.learning_rate = 1e-3;
+  ckpt.best_epoch = 1;
+  ckpt.best_val_accuracy = 0.75;
+  ckpt.best_train_loss = 0.5;
+  ckpt.rng_state = "5489";
+  ckpt.params = model.save_parameters();
+  ckpt.best_params = ckpt.params;
+  auto opt = model.optimizer_state();
+  ckpt.adam_t = opt.t;
+  ckpt.adam_m = std::move(opt.m);
+  ckpt.adam_v = std::move(opt.v);
+  const std::string ckpt_bytes = gnn::encode_checkpoint(ckpt);
+  ASSERT_NO_THROW(gnn::decode_checkpoint(ckpt_bytes));
 
-TEST(SerializeLayout, LegacyFileWithoutLayoutLineStillLoads) {
-  const auto model = small_model();
-  std::ostringstream os;
-  gnn::save_model(model, os);
-  std::string text = os.str();
+  // Header fields after the magic (offsets of the u32/u64 fields), and the
+  // table geometry, read back from the pristine files.
+  const std::size_t header_fields[] = {8, 12, 16, 20, 24, 28, 32, 40, 48, 56, 64};
+  const auto u64_at = [](const std::string& b, std::size_t off) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, b.data() + off, sizeof v);
+    return v;
+  };
+  const char dict[] = "0123456789-+.eE,:{}[]\"nul ";
+  const std::uint64_t interesting[] = {0, 1, 2, 3, 4, 7, 8, 31, 32, 96, 0x7fffffff,
+                                       0xffffffff, 1ull << 28, 1ull << 40, ~0ull};
 
-  // Rebuild the file as a pre-layout-field writer would have: drop the
-  // layout line and re-seal the CRC trailer.
-  const auto magic_end = text.find('\n') + 1;
-  const auto crc_pos = text.rfind("crc32 ");
-  std::string payload = text.substr(magic_end, crc_pos - magic_end);
-  const std::string layout_line = "layout 0\n";
-  ASSERT_EQ(payload.rfind(layout_line, 0), 0u);
-  payload.erase(0, layout_line.size());
-  char trailer[24];
-  std::snprintf(trailer, sizeof trailer, "crc32 %08x\n", common::crc32(payload));
-  std::istringstream is(text.substr(0, magic_end) + payload + trailer);
-  auto reloaded = gnn::load_model(is);
-  expect_params_bit_equal(model.save_parameters(), reloaded.save_parameters());
-}
+  std::mt19937_64 rng(20240521);
+  const fs::path p = dir.path / "m.mzb";
+  int decoded = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const bool is_ckpt = iter % 2 == 1;
+    std::string bytes = is_ckpt ? ckpt_bytes : blob;
+    const std::uint64_t meta_len = u64_at(bytes, 40);
+    const std::uint64_t table_off = u64_at(bytes, 48);
+    const std::uint64_t tensors = u64_at(bytes, 24) & 0xffffffffu;
+    const int edits = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < edits; ++k) {
+      switch (rng() % 4) {
+        case 0: {  // header field
+          const std::size_t off = header_fields[rng() % std::size(header_fields)];
+          const std::size_t width = off >= 32 && off < 72 ? 8 : 4;
+          const std::uint64_t v = rng() % 2 ? interesting[rng() % std::size(interesting)]
+                                            : u64_at(bytes, off) + (rng() % 2 ? 1 : -1);
+          std::memcpy(bytes.data() + off, &v, width);
+          break;
+        }
+        case 1: {  // tensor table entry field
+          const std::size_t entry = table_off + (rng() % tensors) * 32;
+          const std::size_t field = rng() % 6;
+          const std::size_t off = entry + (field < 4 ? field * 4 : 16 + (field - 4) * 8);
+          const std::size_t width = field < 4 ? 4 : 8;
+          const std::uint64_t v = rng() % 2 ? interesting[rng() % std::size(interesting)]
+                                            : u64_at(bytes, off) + (rng() % 2 ? 32 : -1);
+          std::memcpy(bytes.data() + off, &v, width);
+          break;
+        }
+        default: {  // meta byte (twice as likely: the JSON is the richest input)
+          const std::size_t off = 96 + rng() % meta_len;
+          bytes[off] = dict[rng() % (sizeof dict - 1)];
+          break;
+        }
+      }
+    }
+    if (rng() % 8 != 0) restamp_crc(bytes);
 
-TEST(SerializeLayout, ForeignLayoutVersionIsRejected) {
-  const auto model = small_model();
-  std::ostringstream os;
-  gnn::save_model(model, os);
-  std::string text = os.str();
-
-  const auto magic_end = text.find('\n') + 1;
-  const auto crc_pos = text.rfind("crc32 ");
-  std::string payload = text.substr(magic_end, crc_pos - magic_end);
-  ASSERT_EQ(payload.rfind("layout 0\n", 0), 0u);
-  payload.replace(0, 9, "layout 1\n");  // kLayoutPaddedSimd: text reader must balk
-  char trailer[24];
-  std::snprintf(trailer, sizeof trailer, "crc32 %08x\n", common::crc32(payload));
-  std::istringstream is(text.substr(0, magic_end) + payload + trailer);
-  EXPECT_THROW(gnn::load_model(is), gnn::ModelFormatError);
+    if (is_ckpt) {
+      try {
+        gnn::decode_checkpoint(bytes);
+        ++decoded;
+      } catch (const gnn::CheckpointError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "iteration " << iter << ": checkpoint decode threw " << e.what();
+      }
+      continue;
+    }
+    spew(p, bytes);
+    zoo::LoadOptions opts;
+    opts.force_copy = rng() % 2 == 0;
+    opts.with_optimizer = rng() % 2 == 0;
+    opts.score_only = !opts.with_optimizer && rng() % 2 == 0;
+    try {
+      zoo::read_blob_meta(p);
+      zoo::load_model_blob(p, opts);
+      ++decoded;
+    } catch (const zoo::ZooError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "iteration " << iter << ": blob load threw " << e.what();
+    }
+  }
+  // The mix must exercise both outcomes, or the mutations are not reaching
+  // past the first check.
+  EXPECT_GT(decoded, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 // ---------------------------------------------------------------------------

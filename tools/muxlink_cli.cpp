@@ -13,7 +13,7 @@
 //                  [--truth-key key.txt|BITS] [--orig orig.bench]
 //                  [--scheme LABEL] [--patterns N]
 //                  [--checkpoint-dir D] [--checkpoint-every N] [--resume]
-//                  [--clip-grad X] [--save-model model.txt] [--simd MODE]
+//                  [--clip-grad X] [--save-model model.mzb] [--simd MODE]
 //                  [--zoo] [--zoo-dir D] [--warm-start REF]
 //                  [--warm-epochs N] [--warm-lr-scale X] [--no-score-cache]
 //   muxlink untangle <locked.bench>  (UNTANGLE-style routing-query mode;
@@ -42,7 +42,8 @@
 //   1 CLI misuse (unknown flag, bad argument)
 //   2 other processing errors (including a submitted job reporting failure)
 //   3 input parse/validation errors (BENCH / Verilog / netlist)
-//   4 model-file format errors (bad magic/version, CRC mismatch, truncation)
+//   4 model-file format errors (bad magic/version, CRC mismatch, truncation,
+//     a topology the tensors do not hold)
 //   5 checkpoint errors (corrupt/torn/incompatible --resume state)
 //   6 daemon/protocol errors (MXRPC1 framing violations, unreachable or
 //     refusing daemon, version rejection)
@@ -60,7 +61,6 @@
 #include "common/thread_pool.h"
 #include "daemon/client.h"
 #include "gnn/checkpoint.h"
-#include "gnn/serialize.h"
 #include "gnn/simd.h"
 #include "circuitgen/suites.h"
 #include "eval/campaign.h"
@@ -129,7 +129,8 @@ commands:
        [--resume]        restore training from --checkpoint-dir and finish
                          bit-identical to an uninterrupted run
        [--clip-grad X]   clip each batch's mean gradient to L2 norm <= X
-       [--save-model F]  save the trained DGCNN (CRC-guarded text format)
+       [--save-model F]  save the trained DGCNN with its Adam moments as an
+                         MXZOO1 blob (a valid --warm-start ref)
        [--simd MODE]     training kernel set: auto (default), avx2, scalar;
                          also settable via MUXLINK_SIMD. avx2 errors out on
                          hardware without AVX2+FMA instead of downgrading
@@ -929,10 +930,7 @@ int main(int argc, char** argv) {
   } catch (const daemon::DaemonError& e) {
     std::cerr << "daemon error: " << e.what() << "\n";
     return 6;
-  } catch (const gnn::ModelFormatError& e) {
-    std::cerr << "model format error: " << e.what() << "\n";
-    return 4;
-  } catch (const zoo::ZooError& e) {  // zoo blobs are model files too
+  } catch (const gnn::ModelFormatError& e) {  // any MXZOO1 file, zoo::ZooError too
     std::cerr << "model format error: " << e.what() << "\n";
     return 4;
   } catch (const gnn::CheckpointError& e) {
