@@ -28,11 +28,13 @@
 #                    # restart drill, a SIGTERM drain check, the concurrent
 #                    # bench_daemon byte-identity gate, and the MXRPC1 suite
 #                    # under ASan+UBSan
-#   ./ci.sh fleet    # fleet-coordinator gate: a 2-backend chaos drill (one
-#                    # muxlinkd SIGKILLed and restarted mid-campaign) whose
-#                    # aggregate must be byte-identical to the no-fleet run,
-#                    # the bench_fleet fan-out byte-identity gate, and the
-#                    # fleet + daemon suites under ASan+UBSan
+#   ./ci.sh fleet    # fleet-coordinator gate: a muxlink-coord job whose
+#                    # manifest must be byte-identical to `muxlink submit`,
+#                    # a 2-backend chaos drill (one muxlinkd SIGKILLed and
+#                    # restarted mid-campaign) whose aggregate must be
+#                    # byte-identical to the no-fleet run, the bench_fleet
+#                    # fan-out byte-identity gate, and the fleet + daemon
+#                    # suites under ASan+UBSan
 #   ./ci.sh tsan     # ThreadSanitizer over every threaded suite: the pool,
 #                    # parallel determinism (nested loops on the pool), the
 #                    # zoo, the daemon and the fleet; any report fails it
@@ -115,7 +117,7 @@ run_docs() {
   grep -q "## 14. Fleet coordinator" DESIGN.md \
     || { echo "DESIGN.md lost its fleet-coordinator section" >&2; return 1; }
   for token in WAIT_RESULT forwarded EJECTED "decorrelated" "retry budget" \
-               "spool retention" hedg; do
+               "spool retention" failover; do
     grep -qi "$token" DESIGN.md \
       || { echo "DESIGN.md §14 lost its '$token' coverage" >&2; return 1; }
   done
@@ -461,6 +463,20 @@ run_fleet() {
   build/tools/muxlink-coord --backends "unix:$d/b1.sock,unix:$d/b2.sock" --probe \
     | grep -c HEALTHY | grep -q 2 \
     || { echo "coordinator probe did not see both backends healthy" >&2; rm -rf "$d"; return 1; }
+
+  # Job mode: one locked file through muxlink-coord must produce the same
+  # manifest bytes as `muxlink submit` to one backend, every knob explicit.
+  local knobs=(--attack muxlink --scheme dmux --hops 3 --th 0.01 --epochs 3 --lr 0.001
+               --links 300 --seed 1)
+  "$cli" gen c432 --out "$d/c.bench" >/dev/null
+  "$cli" lock "$d/c.bench" --scheme dmux --key-bits 16 --seed 1 \
+    --out "$d/l.bench" --key-out "$d/k.txt" >/dev/null
+  build/tools/muxlink-coord --backends "unix:$d/b1.sock,unix:$d/b2.sock" "${knobs[@]}" \
+    --out-dir "$d/coord" "$d/l.bench" >/dev/null
+  "$cli" submit "$d/l.bench" "${knobs[@]}" --daemon "unix:$d/b2.sock" --wait \
+    --report "$d/submit.json" >/dev/null
+  cmp "$d/coord/f1.json" "$d/submit.json" \
+    || { echo "muxlink-coord manifest differs from muxlink submit" >&2; rm -rf "$d"; return 1; }
   (
     sleep 1
     kill -KILL "$dpid1" 2>/dev/null || true
@@ -486,8 +502,8 @@ run_fleet() {
   build/tools/bench_fleet --circuit c432 --key-bits 16 --epochs 3 --links 300 \
     --jobs 4 --distinct 2 --backends 2 --workers 1 >/dev/null
 
-  # Coordinator + daemon suites under ASan+UBSan: breaker races, hedge
-  # duplicates, requeue bookkeeping, and the WAIT_RESULT/forwarded paths.
+  # Coordinator + daemon suites under ASan+UBSan: breaker races, requeue
+  # bookkeeping, and the WAIT_RESULT/forwarded paths.
   cmake -B build-san -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \

@@ -221,8 +221,6 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   } else {
     fleet::FleetOptions fopts;
     fopts.backends = opts.fleet_backends;
-    fopts.spool_dir = opts.fleet_spool_dir;
-    fopts.hedge_after_ms = opts.fleet_hedge_after_ms;
     fopts.max_attempts_per_job = opts.fleet_max_attempts;
     fopts.retry_budget = opts.fleet_retry_budget;
     fopts.dispatch_timeout_ms = opts.fleet_dispatch_timeout_ms;
@@ -230,7 +228,7 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     coord = std::make_unique<fleet::FleetCoordinator>(fopts);
     coord->start();
     exec = [&coord](const core::AttackJobSpec& jspec) {
-      const fleet::FleetJobResult r = coord->run(jspec, fleet::Priority::kCampaign);
+      const fleet::FleetJobResult r = coord->run(jspec);
       if (!r.ok) throw std::runtime_error("fleet cell failed: " + r.error);
       core::AttackJobOutcome out;
       out.manifest = r.manifest;

@@ -57,8 +57,6 @@ struct CampaignOptions {
   // paths execute the same spec; the PR 9 job contract makes the result
   // location-invariant).
   std::vector<std::string> fleet_backends;
-  std::string fleet_spool_dir;     // durable results spool ("" = none)
-  int fleet_hedge_after_ms = 0;    // straggler hedging (0 = off)
   int fleet_max_attempts = 4;
   int fleet_retry_budget = 64;
   long fleet_dispatch_timeout_ms = 0;  // per-dispatch failover deadline (0 = none)

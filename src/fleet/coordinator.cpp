@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -12,7 +11,6 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "daemon/client.h"
-#include "daemon/spool.h"
 
 namespace muxlink::fleet {
 
@@ -74,20 +72,14 @@ namespace {
 struct FleetJob {
   std::string id;
   core::AttackJobSpec spec;
-  Priority prio = Priority::kInteractive;
-  std::uint64_t seq = 0;
 
   enum class State { kQueued, kRunning, kDone, kFailed };
   State state = State::kQueued;
-  Clock::time_point not_before{};      // backoff gate while queued
-  Clock::time_point running_since{};   // first dispatch of the current attempt
-  int attempts = 0;                    // dispatches started (incl. hedges)
-  int inflight = 0;                    // concurrent dispatches (1, or 2 when hedged)
-  bool hedged = false;
+  Clock::time_point not_before{};  // backoff gate while queued
+  int attempts = 0;                // dispatches started
 
   // Terminal result.
   common::Json manifest;
-  std::string manifest_text;  // dump() of the winning manifest, for duplicate compare
   std::string key_string;
   std::string backend;
   std::string error;
@@ -114,7 +106,7 @@ struct FleetCoordinator::Impl {
   std::condition_variable queue_cv;  // runners + local fallback wait here
   std::condition_variable done_cv;   // wait() blocks here
   std::map<std::string, std::shared_ptr<FleetJob>> jobs;
-  std::vector<std::shared_ptr<FleetJob>> order;  // submit order (seq-sorted)
+  std::vector<std::shared_ptr<FleetJob>> order;  // submit order
   std::vector<BackendState> backends;
   std::uint64_t next_id = 1;
   int retry_budget_left = 0;
@@ -125,16 +117,11 @@ struct FleetCoordinator::Impl {
   std::thread heartbeat_thread;
   std::thread local_thread;
 
-  std::unique_ptr<daemon::ResultSpool> spool;
-
   // fleet.* lifetime counters.
   std::atomic<std::uint64_t> jobs_submitted{0};
   std::atomic<std::uint64_t> jobs_completed{0};
   std::atomic<std::uint64_t> jobs_failed{0};
   std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> hedges{0};
-  std::atomic<std::uint64_t> duplicate_results{0};
-  std::atomic<std::uint64_t> determinism_violations{0};
   std::atomic<std::uint64_t> local_runs{0};
   std::atomic<std::uint64_t> dispatch_failures{0};
   std::atomic<std::uint64_t> heartbeats{0};
@@ -149,13 +136,6 @@ struct FleetCoordinator::Impl {
       BackendState b;
       b.address = a;
       backends.push_back(std::move(b));
-    }
-    if (!opts.spool_dir.empty()) {
-      daemon::SpoolOptions sopts;
-      sopts.dir = opts.spool_dir;
-      sopts.max_bytes = opts.spool_max_bytes;
-      sopts.ttl_seconds = opts.spool_ttl_seconds;
-      spool = std::make_unique<daemon::ResultSpool>(std::move(sopts));
     }
     for (std::size_t i = 0; i < backends.size(); ++i) {
       runners.emplace_back([this, i] { runner_loop(i); });
@@ -184,13 +164,11 @@ struct FleetCoordinator::Impl {
 
   // --- submit / wait -------------------------------------------------------
 
-  std::string submit(const core::AttackJobSpec& spec, Priority prio) {
+  std::string submit(const core::AttackJobSpec& spec) {
     auto job = std::make_shared<FleetJob>();
     job->spec = spec;
-    job->prio = prio;
     {
       std::lock_guard<std::mutex> lock(m);
-      job->seq = next_id;
       job->id = "f" + std::to_string(next_id++);
       job->not_before = Clock::now();
       jobs.emplace(job->id, job);
@@ -211,74 +189,33 @@ struct FleetCoordinator::Impl {
       job = it->second;
     }
     FleetJobResult out;
-    {
-      std::unique_lock<std::mutex> lock(m);
-      done_cv.wait(lock, [&] {
-        return stopping.load() || job->state == FleetJob::State::kDone ||
-               job->state == FleetJob::State::kFailed;
-      });
-      out.job_id = job->id;
-      out.attempts = job->attempts;
-      out.backend = job->backend;
-      if (job->state == FleetJob::State::kDone) {
-        out.ok = true;
-        out.manifest = job->manifest;
-        out.key_string = job->key_string;
-      } else {
-        out.ok = false;
-        out.error = job->state == FleetJob::State::kFailed ? job->error : "coordinator stopped";
-      }
+    std::unique_lock<std::mutex> lock(m);
+    done_cv.wait(lock, [&] {
+      return stopping.load() || job->state == FleetJob::State::kDone ||
+             job->state == FleetJob::State::kFailed;
+    });
+    out.job_id = job->id;
+    out.attempts = job->attempts;
+    out.backend = job->backend;
+    if (job->state == FleetJob::State::kDone) {
+      out.ok = true;
+      out.manifest = job->manifest;
+      out.key_string = job->key_string;
+    } else {
+      out.error = job->state == FleetJob::State::kFailed ? job->error : "coordinator stopped";
     }
-    // Retrieval releases the spool pin: a fetched result may now be GC'd.
-    if (out.ok && spool) spool->mark_fetched(out.job_id);
     return out;
   }
 
   // --- queue claims --------------------------------------------------------
 
-  // Lowest (priority, seq) queued job whose backoff gate has passed.
+  // First queued job, in submit order, whose backoff gate has passed.
   // Caller holds `m`.
   std::shared_ptr<FleetJob> claim_locked(Clock::time_point now) {
-    std::shared_ptr<FleetJob> best;
     for (const auto& job : order) {
       if (job->state != FleetJob::State::kQueued || now < job->not_before) continue;
-      if (!best || std::make_pair(static_cast<int>(job->prio), job->seq) <
-                       std::make_pair(static_cast<int>(best->prio), best->seq)) {
-        best = job;
-      }
-    }
-    if (best) {
-      best->state = FleetJob::State::kRunning;
-      best->running_since = now;
-      ++best->attempts;
-      ++best->inflight;
-    }
-    return best;
-  }
-
-  // Idle-runner poll granularity: 100ms normally, but an aggressive hedge
-  // threshold needs a matching tick or short jobs finish inside the sleep
-  // and the hedge window is never observed.
-  int idle_tick_ms() const {
-    if (opts.hedge_after_ms > 0 && opts.hedge_after_ms < 100) {
-      return std::max(1, opts.hedge_after_ms);
-    }
-    return 100;
-  }
-
-  // A running, not-yet-hedged job past the hedge threshold. Caller holds `m`.
-  std::shared_ptr<FleetJob> claim_hedge_locked(Clock::time_point now) {
-    if (opts.hedge_after_ms <= 0) return nullptr;
-    const auto threshold = std::chrono::milliseconds(opts.hedge_after_ms);
-    for (const auto& job : order) {
-      if (job->state != FleetJob::State::kRunning || job->hedged || job->inflight != 1) continue;
-      if (job->attempts >= std::max(1, opts.max_attempts_per_job)) continue;
-      if (now - job->running_since < threshold) continue;
-      job->hedged = true;
+      job->state = FleetJob::State::kRunning;
       ++job->attempts;
-      ++job->inflight;
-      ++hedges;
-      MUXLINK_COUNTER_ADD("fleet.hedges", 1);
       return job;
     }
     return nullptr;
@@ -286,39 +223,19 @@ struct FleetCoordinator::Impl {
 
   // --- result delivery / retry ---------------------------------------------
 
+  // A job has at most one dispatch in flight, so the caller owns it: the
+  // job is kRunning and nobody else can resolve it.
   void deliver(const std::shared_ptr<FleetJob>& job, common::Json manifest,
                std::string key_string, const std::string& backend) {
-    std::string spool_payload;
     {
       std::lock_guard<std::mutex> lock(m);
-      --job->inflight;
-      if (job->state == FleetJob::State::kDone || job->state == FleetJob::State::kFailed) {
-        // Late duplicate (hedge partner finished first). The determinism
-        // contract says both executions produced the same bytes — check it.
-        ++duplicate_results;
-        MUXLINK_COUNTER_ADD("fleet.duplicate_results", 1);
-        if (job->state == FleetJob::State::kDone && manifest.dump() != job->manifest_text) {
-          ++determinism_violations;
-          MUXLINK_COUNTER_ADD("fleet.determinism_violations", 1);
-        }
-        return;
-      }
       job->state = FleetJob::State::kDone;
       job->manifest = std::move(manifest);
-      job->manifest_text = job->manifest.dump();
       job->key_string = std::move(key_string);
       job->backend = backend;
-      spool_payload = job->manifest.dump_pretty() + "\n";
     }
     ++jobs_completed;
     MUXLINK_COUNTER_ADD("fleet.jobs_completed", 1);
-    if (spool) {
-      try {
-        spool->put(job->id, spool_payload);
-      } catch (const std::exception&) {
-        MUXLINK_COUNTER_ADD("fleet.spool_errors", 1);
-      }
-    }
     done_cv.notify_all();
   }
 
@@ -326,9 +243,6 @@ struct FleetCoordinator::Impl {
     bool failed = false;
     {
       std::lock_guard<std::mutex> lock(m);
-      --job->inflight;
-      if (job->state != FleetJob::State::kRunning) return;  // partner already resolved it
-      if (job->inflight > 0) return;  // hedge partner still in flight — let it finish
       const bool budget_ok = retry_budget_left > 0;
       if (job->attempts < std::max(1, opts.max_attempts_per_job) && budget_ok) {
         --retry_budget_left;
@@ -337,7 +251,6 @@ struct FleetCoordinator::Impl {
                                                   opts.backoff_cap_ms);
         job->state = FleetJob::State::kQueued;
         job->not_before = Clock::now() + std::chrono::milliseconds(delay);
-        job->hedged = false;
         ++retries;
         MUXLINK_COUNTER_ADD("fleet.retries", 1);
       } else {
@@ -438,16 +351,12 @@ struct FleetCoordinator::Impl {
         for (;;) {
           if (stopping.load()) return;
           if (healthy_locked(idx)) {
-            const auto now = Clock::now();
-            job = claim_locked(now);
-            if (!job) job = claim_hedge_locked(now);
+            job = claim_locked(Clock::now());
             if (job) break;
           }
-          // Timed wait, not a pure cv wait: backoff gates (not_before) and
-          // hedge thresholds expire without anyone notifying. With hedging
-          // enabled the tick shrinks to the hedge threshold so an idle
-          // runner can't sleep through a straggler's whole window.
-          queue_cv.wait_for(lock, std::chrono::milliseconds(idle_tick_ms()));
+          // Timed wait, not a pure cv wait: backoff gates (not_before)
+          // expire without anyone notifying.
+          queue_cv.wait_for(lock, std::chrono::milliseconds(100));
         }
         ++backends[idx].dispatched;
       }
@@ -458,67 +367,58 @@ struct FleetCoordinator::Impl {
   void dispatch_one(std::size_t idx, daemon::DaemonClient& client,
                     const std::shared_ptr<FleetJob>& job) {
     std::string backend_addr;
-    int attempt = 0;  // a hedge claim may bump job->attempts concurrently
+    int attempt = 0;  // job fields are guarded by `m`, even while this runner owns the job
     {
       std::lock_guard<std::mutex> lock(m);
       backend_addr = backends[idx].address;
       attempt = job->attempts;
     }
-    std::string remote_id;
     try {
       MUXLINK_FAULT_POINT("fleet.dispatch");
+      // Both §13 caps are required; a peer without them is a failed dispatch.
+      if (!client.has_cap(daemon::kCapForwarded) || !client.has_cap(daemon::kCapWaitResult)) {
+        throw daemon::DaemonError("backend did not negotiate the wait_result and forwarded caps");
+      }
       common::Json prov = common::Json::object();
       prov["coordinator"] = "muxlink-coord";
       prov["origin_id"] = job->id;
       prov["attempt"] = attempt;
-      remote_id = client.has_cap(daemon::kCapForwarded) ? client.submit_forwarded(job->spec, prov)
-                                                        : client.submit(job->spec);
-      const bool long_poll = client.has_cap(daemon::kCapWaitResult);
+      const std::string remote_id = client.submit_forwarded(job->spec, prov);
       const bool capped = opts.dispatch_timeout_ms > 0;
       const Clock::time_point deadline =
           Clock::now() + std::chrono::milliseconds(capped ? opts.dispatch_timeout_ms : 0);
+      common::Json reply;
       for (;;) {
         if (stopping.load()) return;  // abandoned; stop() is tearing us down
-        common::Json reply;
-        if (long_poll) {
-          long slice = 0;  // 0 = server-side cap
-          if (capped) {
-            slice = std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now())
-                        .count();
-            if (slice <= 0) throw daemon::DaemonError("dispatch deadline exceeded");
-          }
-          reply = client.wait_result(remote_id, slice);
-        } else {
-          reply = client.status(remote_id);
-        }
-        const std::string state = reply.string_or("state", "");
-        if (state == "QUEUED" || state == "RUNNING") {
-          if (capped && Clock::now() >= deadline) {
+        long slice = 0;  // 0 = server-side cap
+        if (capped) {
+          slice = std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now())
+                      .count();
+          if (slice <= 0) {
             try {
               client.cancel(remote_id);  // best effort: free the backend's queue slot
             } catch (const std::exception&) {
             }
             throw daemon::DaemonError("dispatch deadline exceeded");
           }
-          if (!long_poll) std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          continue;
         }
-        if (!long_poll) reply = client.result(remote_id);
-        if (reply.string_or("state", "") != "DONE") {
-          throw daemon::DaemonError("backend reported " + reply.string_or("state", "?") + ": " +
-                                    reply.string_or("error", "(no detail)"));
-        }
-        const common::Json* manifest = reply.find("manifest");
-        if (!manifest) throw daemon::DaemonError("DONE result carried no manifest");
-        MUXLINK_FAULT_POINT("fleet.result");
-        record_probe(idx, true, /*from_dispatch=*/true);
-        {
-          std::lock_guard<std::mutex> lock(m);
-          ++backends[idx].completed;
-        }
-        deliver(job, *manifest, reply.string_or("key", ""), backend_addr);
-        return;
+        reply = client.wait_result(remote_id, slice);
+        const std::string state = reply.string_or("state", "");
+        if (state != "QUEUED" && state != "RUNNING") break;
       }
+      if (reply.string_or("state", "") != "DONE") {
+        throw daemon::DaemonError("backend reported " + reply.string_or("state", "?") + ": " +
+                                  reply.string_or("error", "(no detail)"));
+      }
+      const common::Json* manifest = reply.find("manifest");
+      if (!manifest) throw daemon::DaemonError("DONE result carried no manifest");
+      MUXLINK_FAULT_POINT("fleet.result");
+      record_probe(idx, true, /*from_dispatch=*/true);
+      {
+        std::lock_guard<std::mutex> lock(m);
+        ++backends[idx].completed;
+      }
+      deliver(job, *manifest, reply.string_or("key", ""), backend_addr);
     } catch (const std::exception& e) {
       ++dispatch_failures;
       MUXLINK_COUNTER_ADD("fleet.dispatch_failures", 1);
@@ -602,9 +502,6 @@ struct FleetCoordinator::Impl {
     j["jobs_completed"] = static_cast<std::int64_t>(jobs_completed.load());
     j["jobs_failed"] = static_cast<std::int64_t>(jobs_failed.load());
     j["retries"] = static_cast<std::int64_t>(retries.load());
-    j["hedges"] = static_cast<std::int64_t>(hedges.load());
-    j["duplicate_results"] = static_cast<std::int64_t>(duplicate_results.load());
-    j["determinism_violations"] = static_cast<std::int64_t>(determinism_violations.load());
     j["local_runs"] = static_cast<std::int64_t>(local_runs.load());
     j["dispatch_failures"] = static_cast<std::int64_t>(dispatch_failures.load());
     j["heartbeats"] = static_cast<std::int64_t>(heartbeats.load());
@@ -626,16 +523,6 @@ struct FleetCoordinator::Impl {
       }
     }
     j["backends"] = std::move(arr);
-    if (spool) {
-      const daemon::SpoolStats s = spool->stats();
-      common::Json sj = common::Json::object();
-      sj["entries"] = static_cast<std::int64_t>(s.entries);
-      sj["bytes"] = static_cast<std::int64_t>(s.bytes);
-      sj["unfetched"] = static_cast<std::int64_t>(s.unfetched);
-      sj["gc_removed"] = static_cast<std::int64_t>(s.gc_removed);
-      sj["recovered_temps"] = static_cast<std::int64_t>(s.recovered_temps);
-      j["spool"] = sj;
-    }
     return j;
   }
 };
@@ -654,14 +541,14 @@ FleetCoordinator::~FleetCoordinator() {
 void FleetCoordinator::start() { impl_->start(); }
 void FleetCoordinator::stop() { impl_->stop(); }
 
-std::string FleetCoordinator::submit(const core::AttackJobSpec& spec, Priority prio) {
-  return impl_->submit(spec, prio);
+std::string FleetCoordinator::submit(const core::AttackJobSpec& spec) {
+  return impl_->submit(spec);
 }
 
 FleetJobResult FleetCoordinator::wait(const std::string& job_id) { return impl_->wait(job_id); }
 
-FleetJobResult FleetCoordinator::run(const core::AttackJobSpec& spec, Priority prio) {
-  return impl_->wait(impl_->submit(spec, prio));
+FleetJobResult FleetCoordinator::run(const core::AttackJobSpec& spec) {
+  return impl_->wait(impl_->submit(spec));
 }
 
 BackendHealth FleetCoordinator::backend_health(const std::string& address) const {

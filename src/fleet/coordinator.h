@@ -1,5 +1,5 @@
 // Fleet coordinator (DESIGN.md §14): fans AttackJobSpecs out to N muxlinkd
-// backends over MXRPC1 and survives backends dying, hanging, or lying.
+// backends over MXRPC1 and survives backends dying or hanging.
 //
 // Robustness model:
 //   * Health — a dedicated heartbeat thread probes every backend on a
@@ -15,18 +15,15 @@
 //     deterministic, so jitter can never change bytes), bounded by a
 //     per-job attempt cap and a fleet-wide retry budget.
 //   * Failover — a job in flight on a backend that dies or stalls past its
-//     dispatch deadline is re-dispatched elsewhere. Safe because the PR 9
-//     contract makes re-execution byte-identical; when a late duplicate
-//     result does arrive (hedging), the coordinator byte-compares it and
-//     counts any mismatch as a determinism violation.
-//   * Hedging — optional: a job running longer than `hedge_after_ms` may
-//     be speculatively dispatched to a second idle backend; first terminal
-//     result wins.
+//     dispatch deadline is CANCELled there and re-dispatched elsewhere. Safe
+//     because the job contract makes re-execution byte-identical; a job has
+//     at most one dispatch in flight, so no duplicate result can arrive.
 //   * Degradation — when every backend is ejected (or none configured),
 //     jobs run locally in-process so a campaign always terminates.
 //
-// Job priorities: campaign cells > interactive probes > bulk re-runs.
-// Completed results land in a durable ResultSpool (retention per §14).
+// Jobs are claimed in submit order. Backends must offer both §13
+// capabilities (`wait_result`, `forwarded`); one that does not fails the
+// dispatch, and the breaker and failover handle it like any other fault.
 //
 // Fault sites (MUXLINK_FAULTS): `fleet.heartbeat` fires on the heartbeat
 // thread before each probe (sequential — deterministic nth-hit counting);
@@ -45,7 +42,6 @@
 
 namespace muxlink::fleet {
 
-enum class Priority : int { kCampaign = 0, kInteractive = 1, kBulk = 2 };
 enum class BackendHealth { kHealthy, kSuspect, kEjected };
 const char* to_string(BackendHealth h) noexcept;
 
@@ -67,15 +63,9 @@ struct FleetOptions {
 
   // Dispatch behavior.
   long dispatch_timeout_ms = 0;      // per-dispatch wait before failover (0 = no cap)
-  int hedge_after_ms = 0;            // speculative second dispatch (0 = off)
   bool allow_local_fallback = true;  // run in-process when all backends are ejected
   int io_timeout_ms = 10000;         // client reply budget
   int connect_attempts = 2;
-
-  // Durable results spool ("" = none).
-  std::string spool_dir;
-  std::uint64_t spool_max_bytes = 0;
-  long spool_ttl_seconds = 0;
 };
 
 struct FleetJobResult {
@@ -99,14 +89,14 @@ class FleetCoordinator {
   void stop();
 
   // Enqueues a job; returns its coordinator id immediately.
-  std::string submit(const core::AttackJobSpec& spec, Priority prio = Priority::kInteractive);
+  std::string submit(const core::AttackJobSpec& spec);
 
   // Blocks until the job is terminal. Throws std::invalid_argument for an
   // unknown id.
   FleetJobResult wait(const std::string& job_id);
 
   // submit + wait.
-  FleetJobResult run(const core::AttackJobSpec& spec, Priority prio = Priority::kInteractive);
+  FleetJobResult run(const core::AttackJobSpec& spec);
 
   BackendHealth backend_health(const std::string& address) const;
 

@@ -1,8 +1,8 @@
 // Fleet coordinator suite (DESIGN.md §14): breaker state machine and
 // deterministic backoff units, campaign-via-fleet byte-identity at 1/2/3
-// backends, backend kill/restart mid-run failover, hedged duplicate-result
-// byte-compare, local degradation when every backend is unreachable, and
-// the coordinator-side results spool.
+// backends, backend kill/restart mid-run failover, a fault-injected retry
+// that must reproduce the one-shot manifest, local degradation when every
+// backend is unreachable, and the attempt-cap / all-ejected failure paths.
 //
 // Registered as a single ctest entry: the E2E drills run real (tiny)
 // attack jobs against in-process DaemonServers, and the heavy budget
@@ -20,6 +20,7 @@
 
 #include "circuitgen/suites.h"
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "daemon/server.h"
 #include "eval/campaign.h"
@@ -35,7 +36,6 @@ using namespace muxlink;
 using fleet::BackendHealth;
 using fleet::FleetCoordinator;
 using fleet::FleetOptions;
-using fleet::Priority;
 
 // --- Breaker state machine -------------------------------------------------
 
@@ -114,6 +114,13 @@ TEST(Backoff, DistinctJobsGetDecorrelatedSchedules) {
 }
 
 // --- E2E fixtures ----------------------------------------------------------
+
+// Process-wide counter total; 0 when never bumped.
+std::int64_t counter(const char* name) {
+  const auto counters = common::MetricsRegistry::instance().snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
 
 std::string slurp(const fs::path& p) {
   std::ifstream is(p);
@@ -248,11 +255,19 @@ TEST_F(FleetE2E, CampaignSurvivesBackendKilledAndRestartedMidRun) {
     servers[0]->start();
   });
 
+  // stop() drains, so the job running on backend 0 finishes and the kill
+  // alone fails a dispatch only when a runner reaches the dead socket before
+  // a heartbeat suspects it. Losing the first result in flight makes one
+  // failover certain: that dispatch fails and its cell is re-dispatched.
+  common::fault::arm("fleet.result", 1, common::fault::Action::kThrow);
+  const std::int64_t failures_before = counter("fleet.dispatch_failures");
   const auto result = eval::run_campaign(opts);
   chaos.join();
   EXPECT_EQ(result.cells.size(), 4u);
   EXPECT_EQ(slurp(result.aggregate_path), baseline)
       << "kill/restart chaos changed campaign bytes";
+  EXPECT_GE(counter("fleet.dispatch_failures") - failures_before, 1)
+      << "no dispatch failed, so the drill never exercised failover";
   for (auto& s : servers) {
     if (s) s->stop();
   }
@@ -260,25 +275,40 @@ TEST_F(FleetE2E, CampaignSurvivesBackendKilledAndRestartedMidRun) {
 
 // --- Coordinator drills ----------------------------------------------------
 
-TEST_F(FleetE2E, HedgedDuplicateResultsAreByteComparedNotDoubleDelivered) {
+TEST_F(FleetE2E, ResultFaultRetriesOnceAndReproducesOneShotBytes) {
+  const core::AttackJobSpec spec = small_job(9);
+  const auto direct = core::run_attack_job(spec);
+
+  // One backend, so the runner-thread fault site counts deterministically:
+  // the first delivery throws, the second is the retry.
   std::vector<std::unique_ptr<daemon::DaemonServer>> servers;
   FleetOptions fopts;
-  fopts.backends = start_backends(servers, "hedge", 2);
-  fopts.hedge_after_ms = 1;  // hedge as soon as the second runner idles
+  fopts.backends = start_backends(servers, "retry", 1);
+  fopts.heartbeat_interval_ms = 50;
   fopts.allow_local_fallback = false;
   FleetCoordinator coord(fopts);
   coord.start();
+  common::fault::arm("fleet.result", 1, common::fault::Action::kThrow);
 
-  const auto r = coord.run(small_job(3), Priority::kInteractive);
-  EXPECT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.key_string.size(), 8u);
+  const std::string id = coord.submit(spec);
+  EXPECT_EQ(id, "f1");
+  const auto r = coord.wait(id);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.attempts, 2);
+  EXPECT_EQ(r.backend, fopts.backends[0]);
+  EXPECT_EQ(r.manifest.dump(), direct.manifest.dump()) << "the retry changed result bytes";
+  EXPECT_EQ(r.key_string, direct.key_string);
+  EXPECT_EQ(common::fault::hits("fleet.result"), 2u);
 
   const common::Json stats = coord.stats_json();
-  EXPECT_EQ(stats.number_or("determinism_violations", -1.0), 0.0);
-  EXPECT_EQ(stats.number_or("jobs_completed", 0.0), 1.0);
-  // With one job and an idle second backend the hedge should have fired;
-  // the duplicate (whichever result lands second) must byte-match.
-  EXPECT_GE(stats.number_or("hedges", -1.0), 1.0);
+  EXPECT_EQ(stats.number_or("retries", -1.0), 1.0);
+  EXPECT_EQ(stats.number_or("dispatch_failures", -1.0), 1.0);
+  EXPECT_EQ(stats.number_or("jobs_completed", -1.0), 1.0);
+  // The failure made the backend SUSPECT, which takes no dispatches; the
+  // retry ran only because a heartbeat re-admitted it.
+  EXPECT_EQ(coord.backend_health(fopts.backends[0]), BackendHealth::kHealthy);
+
+  EXPECT_THROW(coord.wait("f999"), std::invalid_argument);
 
   coord.stop();
   for (auto& s : servers) s->stop();
@@ -301,7 +331,7 @@ TEST_F(FleetE2E, AllBackendsDeadDegradesToLocalWithIdenticalBytes) {
   FleetCoordinator coord(fopts);
   coord.start();
 
-  const auto r = coord.run(small_job(5), Priority::kCampaign);
+  const auto r = coord.run(small_job(5));
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.backend, "local");
   EXPECT_EQ(r.manifest.dump(), direct.manifest.dump())
@@ -367,63 +397,6 @@ TEST_F(FleetE2E, QueuedJobsFailWhenWholeFleetEjectedAndFallbackDisabled) {
   EXPECT_EQ(coord.backend_health(fopts.backends[0]), BackendHealth::kEjected);
 
   coord.stop();
-}
-
-TEST_F(FleetE2E, SpoolPersistsResultsAndWaitMarksThemFetched) {
-  const fs::path spool = tmp_ / "coord-spool";
-  std::vector<std::unique_ptr<daemon::DaemonServer>> servers;
-  FleetOptions fopts;
-  fopts.backends = start_backends(servers, "spool", 1);
-  fopts.spool_dir = spool.string();
-  FleetCoordinator coord(fopts);
-  coord.start();
-
-  const std::string id = coord.submit(small_job(9), Priority::kBulk);
-  EXPECT_EQ(id, "f1");
-  const auto r = coord.wait(id);
-  EXPECT_TRUE(r.ok) << r.error;
-
-  // Durable entry on disk, marked fetched by wait() so retention may
-  // reclaim it; a rerun of the same job id would overwrite-and-unpin.
-  EXPECT_TRUE(fs::exists(spool / "f1.json"));
-  EXPECT_TRUE(fs::exists(spool / "f1.fetched"));
-  const common::Json stats = coord.stats_json();
-  ASSERT_TRUE(stats.contains("spool"));
-
-  EXPECT_THROW(coord.wait("f999"), std::invalid_argument);
-
-  coord.stop();
-  for (auto& s : servers) s->stop();
-}
-
-TEST_F(FleetE2E, PrioritiesDrainCampaignBeforeBulk) {
-  // One single-worker backend, jobs submitted bulk-first while the first
-  // job occupies the worker: the campaign-priority job must still complete
-  // (ordering is observable only via the claim order; with one runner the
-  // completion order of the queued pair proves the priority sort).
-  std::vector<std::unique_ptr<daemon::DaemonServer>> servers;
-  FleetOptions fopts;
-  fopts.backends = start_backends(servers, "prio", 1);
-  FleetCoordinator coord(fopts);
-  coord.start();
-
-  const std::string head = coord.submit(small_job(11), Priority::kBulk);
-  const std::string bulk = coord.submit(small_job(12), Priority::kBulk);
-  const std::string camp = coord.submit(small_job(13), Priority::kCampaign);
-
-  const auto rc = coord.wait(camp);
-  const auto rb = coord.wait(bulk);
-  const auto rh = coord.wait(head);
-  EXPECT_TRUE(rc.ok) << rc.error;
-  EXPECT_TRUE(rb.ok) << rb.error;
-  EXPECT_TRUE(rh.ok) << rh.error;
-
-  const common::Json stats = coord.stats_json();
-  EXPECT_EQ(stats.number_or("jobs_completed", 0.0), 3.0);
-  EXPECT_EQ(stats.number_or("jobs_failed", -1.0), 0.0);
-
-  coord.stop();
-  for (auto& s : servers) s->stop();
 }
 
 }  // namespace

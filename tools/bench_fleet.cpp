@@ -20,7 +20,7 @@
 //
 //   bench_fleet [--circuit c880] [--key-bits 32] [--epochs 12]
 //               [--links 2000] [--seed 1] [--jobs 6] [--distinct 2]
-//               [--backends 2] [--workers 2] [--hedge-ms N] [--report F]
+//               [--backends 2] [--workers 2] [--report F]
 //
 // stdout is always the compact single-line manifest; --report additionally
 // writes it pretty-printed to F.
@@ -34,6 +34,7 @@
 #include "common/run_manifest.h"
 #include "daemon/server.h"
 #include "fleet/coordinator.h"
+#include "gnn/simd.h"
 #include "locking/mux_lock.h"
 #include "muxlink/job.h"
 #include "netlist/bench_io.h"
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
   const tools::CliArgs args(argc - 1, argv + 1);
   try {
     args.allow_only({"circuit", "key-bits", "epochs", "links", "seed", "jobs", "distinct",
-                     "backends", "workers", "hedge-ms", "report"});
+                     "backends", "workers", "report"});
     const std::string circuit = args.get_or("circuit", "c880");
     const std::size_t jobs = static_cast<std::size_t>(args.get_long("jobs", 6));
     const std::size_t distinct =
@@ -120,14 +121,13 @@ int main(int argc, char** argv) {
       servers.back()->start();
       fopts.backends.push_back("unix:" + dopts.socket_path);
     }
-    fopts.hedge_after_ms = static_cast<int>(args.get_long("hedge-ms", 0));
     fopts.allow_local_fallback = false;  // the bench measures the fleet, not degradation
 
     fleet::FleetCoordinator coord(fopts);
     coord.start();
     const auto t_fleet = Clock::now();
     std::vector<std::string> ids;
-    for (const auto& spec : specs) ids.push_back(coord.submit(spec, fleet::Priority::kBulk));
+    for (const auto& spec : specs) ids.push_back(coord.submit(spec));
     std::vector<std::string> fleet_out(jobs);
     bool all_ok = true;
     for (std::size_t i = 0; i < jobs; ++i) {
@@ -163,10 +163,10 @@ int main(int argc, char** argv) {
     m.add_result("bit_identical", identical ? 1.0 : 0.0);
     m.add_result("jobs_completed", stats.number_or("jobs_completed", 0.0));
     m.add_result("retries", stats.number_or("retries", 0.0));
-    m.add_result("duplicate_results", stats.number_or("duplicate_results", 0.0));
     common::Json extra = common::Json::object();
     extra["epochs"] = base.epochs;
     extra["links"] = static_cast<std::int64_t>(base.max_train_links);
+    extra["cpu"] = gnn::cpu_info_json();
     extra["fleet_stats"] = stats;
     m.extra = std::move(extra);
     m.observability = common::observability_to_json();

@@ -161,11 +161,10 @@ commands:
        [--workers W] [--out-dir D] [--resume]
        [--zoo] [--zoo-dir D] [--report F]
        [--fleet ADDR,ADDR,...]                 dispatch cells to muxlinkd
-       [--fleet-spool D] [--fleet-hedge-ms N]  backends (muxlink-coord
-       [--fleet-max-attempts N]                semantics; aggregate stays
-       [--fleet-retry-budget N]                byte-identical to a local
-       [--fleet-dispatch-timeout-ms N]         run)
-       [--fleet-no-local-fallback]
+       [--fleet-max-attempts N]                backends (muxlink-coord
+       [--fleet-retry-budget N]                semantics; aggregate stays
+       [--fleet-dispatch-timeout-ms N]         byte-identical to a local
+       [--fleet-no-local-fallback]             run)
   zoo list [--zoo-dir D]                       registry entries, LRU first
   zoo info <key> [--zoo-dir D]                 one entry's stored metadata
   zoo gc --max-bytes N [--zoo-dir D]           evict LRU entries over budget
@@ -647,9 +646,8 @@ std::vector<std::string> split_list(const std::string& csv) {
 int cmd_campaign(const CliArgs& args) {
   args.allow_only({"schemes", "circuits", "attacks", "key-bits", "scale", "seed", "hops", "th",
                    "epochs", "lr", "links", "hd-patterns", "workers", "out-dir", "zoo",
-                   "zoo-dir", "resume", "report", "fleet", "fleet-spool", "fleet-hedge-ms",
-                   "fleet-max-attempts", "fleet-retry-budget", "fleet-dispatch-timeout-ms",
-                   "fleet-no-local-fallback"});
+                   "zoo-dir", "resume", "report", "fleet", "fleet-max-attempts",
+                   "fleet-retry-budget", "fleet-dispatch-timeout-ms", "fleet-no-local-fallback"});
   if (!args.positional().empty()) return usage();
   eval::CampaignOptions opts;
   if (const auto v = args.get("schemes")) opts.schemes = split_list(*v);
@@ -671,8 +669,6 @@ int cmd_campaign(const CliArgs& args) {
   // Fleet mode (DESIGN.md §14): dispatch every cell's attack to these
   // muxlinkd backends. The aggregate stays byte-identical to a local run.
   if (const auto v = args.get("fleet")) opts.fleet_backends = split_list(*v);
-  opts.fleet_spool_dir = args.get_or("fleet-spool", "");
-  opts.fleet_hedge_after_ms = static_cast<int>(args.get_long("fleet-hedge-ms", 0));
   opts.fleet_max_attempts = static_cast<int>(args.get_long("fleet-max-attempts", 4));
   opts.fleet_retry_budget = static_cast<int>(args.get_long("fleet-retry-budget", 64));
   opts.fleet_dispatch_timeout_ms = args.get_long("fleet-dispatch-timeout-ms", 0);

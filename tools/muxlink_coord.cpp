@@ -7,7 +7,9 @@
 // Each BENCH file becomes one AttackJobSpec dispatched through the fleet
 // coordinator: per-backend health heartbeats with a three-state circuit
 // breaker, retry with decorrelated-jitter backoff, failover re-dispatch,
-// optional hedging, and graceful degradation to local in-process execution.
+// and graceful degradation to local in-process execution. The spec is built
+// as `muxlink submit` builds it (parsed netlist name, rewritten BENCH), so a
+// job's manifest is byte-identical to `muxlink submit --wait --report`.
 // Results are byte-identical to running the same job anywhere else (the
 // deterministic job contract), so retries and failover never change output.
 //
@@ -20,13 +22,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "common/json.h"
 #include "fleet/coordinator.h"
 #include "muxlink/job.h"
+#include "netlist/bench_io.h"
 #include "tools/cli_args.h"
 
 namespace {
@@ -51,21 +53,17 @@ attack knobs (one job per BENCH file):
   --zoo [--zoo-dir D] serve trained models from the zoo
 
 fleet knobs:
-  --priority P        campaign | interactive | bulk (default interactive)
   --max-attempts N    dispatches per job incl. the first (default 4)
   --retry-budget N    fleet-wide re-dispatch allowance (default 64)
   --dispatch-timeout-ms N  per-dispatch failover deadline (0 = none)
-  --hedge-ms N        speculative second dispatch after N ms (0 = off)
   --heartbeat-ms N    breaker probe cadence (default 500)
   --no-local-fallback fail jobs instead of running locally when the whole
                       fleet is ejected
-  --spool D           durable results spool (--spool-max-bytes N /
-                      --spool-ttl S retention, unfetched results spared)
 
 output:
   --out-dir D         write each job's manifest to D/<job-id>.json
   --stats             print fleet stats JSON (breaker states, retries,
-                      duplicates) after the jobs finish
+                      dispatch failures) after the jobs finish
 )";
   return 1;
 }
@@ -85,23 +83,14 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot read '" + path + "'");
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc - 1, argv + 1);
   try {
     args.allow_only({"backends", "probe", "attack", "scheme", "hops", "th", "epochs", "lr",
-                     "links", "seed", "zoo", "zoo-dir", "priority", "max-attempts",
-                     "retry-budget", "dispatch-timeout-ms", "hedge-ms", "heartbeat-ms",
-                     "no-local-fallback", "spool", "spool-max-bytes", "spool-ttl", "out-dir",
+                     "links", "seed", "zoo", "zoo-dir", "max-attempts", "retry-budget",
+                     "dispatch-timeout-ms", "heartbeat-ms", "no-local-fallback", "out-dir",
                      "stats", "help"});
     if (args.has("help")) return usage();
 
@@ -114,23 +103,8 @@ int main(int argc, char** argv) {
     fopts.max_attempts_per_job = static_cast<int>(args.get_long("max-attempts", 4));
     fopts.retry_budget = static_cast<int>(args.get_long("retry-budget", 64));
     fopts.dispatch_timeout_ms = args.get_long("dispatch-timeout-ms", 0);
-    fopts.hedge_after_ms = static_cast<int>(args.get_long("hedge-ms", 0));
     fopts.heartbeat_interval_ms = static_cast<int>(args.get_long("heartbeat-ms", 500));
     fopts.allow_local_fallback = !args.has("no-local-fallback");
-    fopts.spool_dir = args.get_or("spool", "");
-    fopts.spool_max_bytes = static_cast<std::uint64_t>(args.get_long("spool-max-bytes", 0));
-    fopts.spool_ttl_seconds = args.get_long("spool-ttl", 0);
-
-    fleet::Priority prio = fleet::Priority::kInteractive;
-    const std::string prio_name = args.get_or("priority", "interactive");
-    if (prio_name == "campaign") {
-      prio = fleet::Priority::kCampaign;
-    } else if (prio_name == "bulk") {
-      prio = fleet::Priority::kBulk;
-    } else if (prio_name != "interactive") {
-      throw std::invalid_argument("unknown --priority '" + prio_name +
-                                  "' (valid: campaign, interactive, bulk)");
-    }
 
     if (args.has("probe")) {
       if (!args.positional().empty()) return usage();
@@ -156,10 +130,11 @@ int main(int argc, char** argv) {
     for (const std::string& path : args.positional()) {
       core::AttackJobSpec spec;
       spec.attack = args.get_or("attack", "muxlink");
-      spec.circuit = std::filesystem::path(path).stem().string();
-      spec.bench = slurp(path);
+      const netlist::Netlist locked = netlist::read_bench_file(path);
+      spec.circuit = locked.name();
+      spec.bench = netlist::write_bench(locked);
       spec.hops = static_cast<int>(args.get_long("hops", 3));
-      spec.threshold = args.get_double("th", 0.01);
+      if (spec.attack == "muxlink") spec.threshold = args.get_double("th", 0.01);
       spec.epochs = static_cast<int>(args.get_long("epochs", 30));
       spec.learning_rate = args.get_double("lr", 1e-3);
       spec.max_train_links = static_cast<std::size_t>(args.get_long("links", 100000));
@@ -173,7 +148,7 @@ int main(int argc, char** argv) {
     fleet::FleetCoordinator coord(fopts);
     coord.start();
     std::vector<std::string> ids;
-    for (const auto& spec : specs) ids.push_back(coord.submit(spec, prio));
+    for (const auto& spec : specs) ids.push_back(coord.submit(spec));
 
     const std::string out_dir = args.get_or("out-dir", "");
     if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
