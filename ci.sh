@@ -37,7 +37,8 @@
 #                    # suites under ASan+UBSan
 #   ./ci.sh tsan     # ThreadSanitizer over every threaded suite: the pool,
 #                    # parallel determinism (nested loops on the pool), the
-#                    # zoo, the daemon and the fleet; any report fails it
+#                    # GNN (per-thread slot scratch, pooled gradient merge),
+#                    # the zoo, the daemon and the fleet; any report fails it
 #
 # Build trees: build/ (Release, the same tree developers use), build-san/
 # (ASan+UBSan) and build-tsan/ (TSan). Benchmarks are compiled in the first
@@ -524,7 +525,8 @@ run_tsan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     >/dev/null
-  local suites=(test_thread_pool test_parallel_determinism test_zoo test_daemon test_fleet)
+  local suites=(test_thread_pool test_parallel_determinism test_gnn test_zoo test_daemon
+                test_fleet)
   cmake --build build-tsan -j "$jobs" --target "${suites[@]}"
   local t
   for t in "${suites[@]}"; do

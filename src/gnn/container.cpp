@@ -183,27 +183,14 @@ std::string encode_container(const std::vector<std::pair<TensorKind, const Matri
   const std::uint64_t table_offset = meta_offset + meta_json.size();
   const std::uint64_t data_offset =
       (table_offset + tensors.size() * kTableEntryLen + kSimdAlign - 1) / kSimdAlign * kSimdAlign;
-  std::string payload = meta_json;  // everything the CRC covers: [meta_offset, file_size)
+  // The file is assembled in place; the CRC over [meta_offset, file_size)
+  // is patched into the header last, so no second copy of the tensors is
+  // ever held.
   std::uint64_t offset = data_offset;
+  std::uint64_t file_size = data_offset;
   for (const auto& [kind, t] : tensors) {
-    const std::uint64_t bytes = static_cast<std::uint64_t>(t->rows) * t->ld * sizeof(double);
-    put(payload, static_cast<std::uint32_t>(kind));
-    put(payload, static_cast<std::uint32_t>(t->rows));
-    put(payload, static_cast<std::uint32_t>(t->cols));
-    put(payload, static_cast<std::uint32_t>(t->ld));
-    put(payload, offset);
-    put(payload, bytes);
-    offset += bytes;
+    file_size += static_cast<std::uint64_t>(t->rows) * t->ld * sizeof(double);
   }
-  const std::uint64_t file_size = offset;
-  payload.resize(static_cast<std::size_t>(data_offset - meta_offset), '\0');
-  payload.reserve(static_cast<std::size_t>(file_size - meta_offset));
-  for (const auto& [kind, t] : tensors) {
-    const double* src = t->borrowed() ? t->view : t->data.data();
-    payload.append(reinterpret_cast<const char*>(src),
-                   static_cast<std::size_t>(t->rows) * t->ld * sizeof(double));
-  }
-
   std::string out;
   out.reserve(static_cast<std::size_t>(file_size));
   out.append(kMagic, sizeof kMagic);
@@ -218,9 +205,29 @@ std::string encode_container(const std::vector<std::pair<TensorKind, const Matri
   put(out, table_offset);
   put(out, data_offset);
   put(out, file_size);
-  put(out, common::crc32(payload));
+  const std::size_t crc_at = out.size();
+  put(out, std::uint32_t{0});
   out.append(kHeaderLen - out.size(), '\0');
-  out += payload;
+  out += meta_json;
+  for (const auto& [kind, t] : tensors) {
+    const std::uint64_t bytes = static_cast<std::uint64_t>(t->rows) * t->ld * sizeof(double);
+    put(out, static_cast<std::uint32_t>(kind));
+    put(out, static_cast<std::uint32_t>(t->rows));
+    put(out, static_cast<std::uint32_t>(t->cols));
+    put(out, static_cast<std::uint32_t>(t->ld));
+    put(out, offset);
+    put(out, bytes);
+    offset += bytes;
+  }
+  out.resize(static_cast<std::size_t>(data_offset), '\0');
+  for (const auto& [kind, t] : tensors) {
+    const double* src = t->borrowed() ? t->view : t->data.data();
+    out.append(reinterpret_cast<const char*>(src),
+               static_cast<std::size_t>(t->rows) * t->ld * sizeof(double));
+  }
+  const std::uint32_t crc =
+      common::crc32(std::string_view(out).substr(static_cast<std::size_t>(meta_offset)));
+  std::memcpy(out.data() + crc_at, &crc, sizeof crc);
   return out;
 }
 

@@ -88,12 +88,21 @@ class Dgcnn {
   const DgcnnConfig& config() const noexcept { return cfg_; }
   int feature_dim() const noexcept { return feature_dim_; }
 
+  // Samples per layer-major slot. Forward and backward run graph conv and
+  // SortPooling per sample, then each 1-D conv and dense layer — and their
+  // gradients — as one matmul over the slot's stacked rows. Every entry
+  // below goes through that one slot path, with 1..kSlotSamples samples.
+  static constexpr std::size_t kSlotSamples = 4;
+
   // Probability that the graph's link exists (class 1). `training` enables
   // dropout (using the internal RNG). With `training == false` this mutates
   // no model state and may be called concurrently from many threads.
   double predict(const GraphSample& g, bool training = false);
   // predict(g, false) on a shared read-only model (zoo-served handles).
   double score(const GraphSample& g) const;
+  // Scores up to kSlotSamples samples in one slot: out[i] is score(*samples[i])
+  // bit for bit — a sample's score never depends on its slot-mates.
+  void score(std::span<const GraphSample* const> samples, double* out) const;
 
   // Forward + backward for one sample; accumulates parameter gradients and
   // returns the cross-entropy loss.
@@ -109,17 +118,47 @@ class Dgcnn {
   // Zeroed parameter-shaped buffers for the external-gradient overload.
   std::vector<Matrix> make_gradient_buffers() const;
 
-  // Adds `grads` (from make_gradient_buffers) into the internal accumulators
-  // consumed by adam_step. Callers reduce per-chunk buffers in a fixed chunk
-  // order to keep training bit-identical for any thread count.
-  void add_gradients(const std::vector<Matrix>& grads);
+  // A trainer slot's gradient accumulator (make_slot_gradients). Dense-1's
+  // weight gradient, 128×576 and nearly all of a slot's buffer, stays
+  // factored as the rows it is made of — each accumulated sample's dhid
+  // and f — and merge_gradients expands it straight into the model's
+  // accumulator; every other tensor accumulates densely. Per element the
+  // merged sum is bit-identical to accumulating the slot's samples, in
+  // order, into zeroed parameter-shaped buffers and adding those.
+  struct SlotGradients {
+    std::vector<Matrix> grads;  // parameter-shaped; dense-1's weight entry is empty
+    Matrix dhid;                // accumulated samples × dense_units
+    Matrix f;                   // accumulated samples × dense-1 inputs
+  };
+  SlotGradients make_slot_gradients() const;
+
+  // The slot entry for training: forward + backward for up to kSlotSamples
+  // samples, sample i's dropout driven by dropout_seeds[i], accumulated into
+  // `slot` in sample order. Model state is untouched. Returns the loss sum,
+  // added in sample order.
+  double accumulate_gradients(std::span<const GraphSample* const> samples, SlotGradients& slot,
+                              std::span<const std::uint64_t> dropout_seeds) const;
+
+  // Adds the slots into the internal accumulators in slot order — for every
+  // element the bits of adding each slot's expanded buffers in turn — and
+  // empties them for reuse. Rows are independent, so the pool
+  // splits the tensors and the result is the same at any thread count;
+  // callers keep the slot order fixed (the trainer's batch layout).
+  void merge_gradients(std::span<SlotGradients> slots);
 
   // Adam step over the gradients accumulated since the last step, averaged
-  // over `batch_size` samples; clears the accumulators.
+  // over `batch_size` samples; clears the accumulators. Element-wise, so it
+  // runs on the pool with the same bits at any thread count.
   void adam_step(std::size_t batch_size);
 
   // Parameter snapshot (for best-on-validation checkpointing).
   std::vector<Matrix> save_parameters() const;
+  // The parameters and optimizer state in place, for serializers that only
+  // read them (save_parameters and optimizer_state copy every tensor).
+  const std::vector<Matrix>& parameters() const noexcept { return params_; }
+  const std::vector<Matrix>& adam_first_moments() const noexcept { return adam_m_; }
+  const std::vector<Matrix>& adam_second_moments() const noexcept { return adam_v_; }
+  long adam_steps() const noexcept { return adam_t_; }
   void load_parameters(const std::vector<Matrix>& params);
 
   // Optimizer state (Adam moments + step counter) for crash-safe trainer
@@ -158,15 +197,22 @@ class Dgcnn {
   // Number of trainable scalars (for reporting).
   std::size_t num_parameters() const;
 
-  // Opaque per-thread scratch (defined in dgcnn.cpp).
+  // Opaque per-thread slot scratch (defined in dgcnn.cpp).
   struct Workspace;
 
  private:
-  // `rng` drives dropout and must be non-null when training; const so the
-  // parallel paths can share one model during a batch (weights read-only).
-  double forward(const GraphSample& g, bool training, Workspace& ws,
-                 std::mt19937_64* rng) const;
-  void backward(const GraphSample& g, Workspace& ws, std::vector<Matrix>& grads) const;
+  // The slot path. `rngs` drives dropout (one generator per sample; entries
+  // may alias) and is null for inference. Const so the parallel paths can
+  // share one model during a batch (weights read-only).
+  void forward(std::span<const GraphSample* const> slot, Workspace& ws,
+               std::mt19937_64* const* rngs) const;
+  // Accumulates every gradient but dense-1's weight into `grads`; that one
+  // stays factored in the workspace (dhid, f) for the caller.
+  void backward(std::span<const GraphSample* const> slot, Workspace& ws,
+                std::vector<Matrix>& grads) const;
+  // One sample's forward + backward into parameter-shaped `grads`.
+  double train_one(const GraphSample& g, std::mt19937_64& rng, std::vector<Matrix>& grads) const;
+  double slot_loss(std::span<const GraphSample* const> slot, const Workspace& ws) const;
 
   DgcnnConfig cfg_;
   int feature_dim_;

@@ -312,12 +312,16 @@ inline void matmul_at_b_accum(const Matrix& a, const Matrix& b, Matrix& out) {
   }
 }
 
-// out = a * b^T, 4x4 blocked: four a-rows against four b-rows, all
-// contiguous in k. Per-element accumulation order matches matmul_a_bt_naive.
-inline void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
+// out = a * b^T + bias, 2x4 blocked: two a-rows against four b-rows, all
+// contiguous in k. `bias` is a row of b.rows values, or nullptr for none;
+// each element's accumulator starts at its bias (or 0.0) and adds its
+// k-terms in ascending k — with no bias that is matmul_a_bt_naive's order,
+// with one it is the bias-first dot_acc chain the DGCNN head relies on.
+inline void matmul_a_bt_bias(const Matrix& a, const Matrix& b, const double* bias, Matrix& out) {
   assert(a.cols == b.cols);
   out.resize_uninit(a.rows, b.rows);
   const int m = a.rows, n = b.rows, kk = a.cols;
+  const auto init = [bias](int j) { return bias != nullptr ? bias[j] : 0.0; };
   // 2x4 tile, not 4x4: both operands stream along k here, so a full 4x4 tile
   // (16 accumulators + 8 stream pointers) overflows the 16 XMM registers and
   // the spills cost more than the reuse saves — the naive kernel is already
@@ -328,7 +332,10 @@ inline void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
     for (int j0 = 0; j0 < n; j0 += kMatBlock) {
       const int jlim = std::min(kMatBlock, n - j0);
       if (ilim == kRowBlock && jlim == kMatBlock) {
-        double acc[kRowBlock][kMatBlock] = {};
+        double acc[kRowBlock][kMatBlock];
+        for (int ii = 0; ii < kRowBlock; ++ii) {
+          for (int jj = 0; jj < kMatBlock; ++jj) acc[ii][jj] = init(j0 + jj);
+        }
         const double* a0 = a.row(i0);
         const double* a1 = a.row(i0 + 1);
         const double* b0 = b.row(j0);
@@ -357,7 +364,7 @@ inline void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
           double* oi = out.row(i);
           for (int j = j0; j < j0 + jlim; ++j) {
             const double* bj = b.row(j);
-            double acc = 0.0;
+            double acc = init(j);
             for (int k = 0; k < kk; ++k) acc += ai[k] * bj[k];
             oi[j] = acc;
           }
@@ -365,6 +372,11 @@ inline void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
       }
     }
   }
+}
+
+// out = a * b^T. Per-element accumulation order matches matmul_a_bt_naive.
+inline void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
+  matmul_a_bt_bias(a, b, nullptr, out);
 }
 
 }  // namespace muxlink::gnn

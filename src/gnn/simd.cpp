@@ -1,5 +1,6 @@
 #include "gnn/simd.h"
 
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,6 +22,38 @@ void s_matmul_at_b_accum(const Matrix& a, const Matrix& b, Matrix& out) {
   matmul_at_b_accum(a, b, out);
 }
 void s_matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) { matmul_a_bt(a, b, out); }
+void s_matmul_a_bt_bias(const Matrix& a, const Matrix& b, const Matrix& bias, Matrix& out) {
+  matmul_a_bt_bias(a, b, bias.row(0), out);
+}
+
+// Row-sparse out += a^T b. Active terms go in groups of up to four, in
+// ascending k, so each out element sees ((o + t0) + t1) + ... — the sequence
+// of per-k axpys it replaces — while the row is loaded and stored once per
+// group instead of once per term.
+void s_matmul_at_b_accum_sparse(const Matrix& a, const Matrix& b, Matrix& out) {
+  assert(a.rows == b.rows && out.rows == a.cols && out.cols == b.cols);
+  const int n = b.cols;
+  for (int i = 0; i < out.rows; ++i) {
+    double* oi = out.row(i);
+    for (int k0 = 0; k0 < a.rows;) {
+      double alpha[4];
+      const double* x[4];
+      int terms = 0;
+      for (; k0 < a.rows && terms < 4; ++k0) {
+        const double d = a.at(k0, i);
+        if (d == 0.0) continue;
+        alpha[terms] = d;
+        x[terms++] = b.row(k0);
+      }
+      if (terms == 0) continue;
+      for (int j = 0; j < n; ++j) {
+        double acc = oi[j];
+        for (int t = 0; t < terms; ++t) acc += alpha[t] * x[t][j];
+        oi[j] = acc;
+      }
+    }
+  }
+}
 
 // out = D^-1 (A+I) H with row-normalization over {i} ∪ N(i): copy own row,
 // add each CSR neighbor front to back, scale by the precomputed inverse
@@ -116,6 +149,8 @@ constexpr KernelTable kScalarTable = {
     s_matmul,
     s_matmul_at_b_accum,
     s_matmul_a_bt,
+    s_matmul_a_bt_bias,
+    s_matmul_at_b_accum_sparse,
     s_propagate,
     s_propagate_transpose,
     s_tanh_inplace,

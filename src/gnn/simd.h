@@ -51,6 +51,17 @@ struct KernelTable {
   void (*matmul_at_b_accum)(const Matrix& a, const Matrix& b, Matrix& out);
   // out = a * b^T
   void (*matmul_a_bt)(const Matrix& a, const Matrix& b, Matrix& out);
+  // out = a * b^T + bias, bias a 1 × b.rows row broadcast over out's rows.
+  // The scalar version chains each element from its bias in ascending k,
+  // exactly as dot_acc(bias[j], b.row(j), a.row(i), k) does; in both tables
+  // an element's value never depends on how many rows `a` has.
+  void (*matmul_a_bt_bias)(const Matrix& a, const Matrix& b, const Matrix& bias, Matrix& out);
+  // out += a^T * b, row-sparse: zero a[k][i] terms are skipped and a row of
+  // out whose a-column is all zero is never touched; every other row is
+  // loaded and stored once per four terms. Per element the terms add in
+  // ascending k, exactly as one axpy(a[k][i], b.row(k), out.row(i), ld) per
+  // k would add them.
+  void (*matmul_at_b_accum_sparse)(const Matrix& a, const Matrix& b, Matrix& out);
 
   // out = D^-1 (A + I) h  /  out = (A + I)^T D^-1 g over the sample's CSR
   // adjacency. Bit-identical across tables (mul and add stay separate ops).

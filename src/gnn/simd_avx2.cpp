@@ -7,7 +7,8 @@
 //                   add, scale, relu_dropout_backward, adam_update — these
 //                   perform the scalar op sequence per element with no FMA
 //                   contraction and no cross-lane reassociation.
-//   tolerance     : matmul / matmul_at_b_accum / matmul_a_bt / dot_acc /
+//   tolerance     : matmul / matmul_at_b_accum / matmul_a_bt /
+//                   matmul_a_bt_bias / matmul_at_b_accum_sparse / dot_acc /
 //                   sumsq_acc (FMA + 4-lane partial sums reassociate the
 //                   reduction), tanh / sigmoid (Cephes-style polynomial exp
 //                   instead of libm). All are still deterministic for fixed
@@ -204,17 +205,60 @@ void v_matmul(const Matrix& a, const Matrix& b, Matrix& out) {
 }
 
 // out += aᵀ·b with a: kk×m, b: kk×n, out: m×n. Accumulators preload the
-// existing out tile (pads preload 0 and only ever gain 0·x, staying 0).
+// existing out tile (pads preload 0 and only ever gain 0·x, staying 0). Same
+// 4-row × 8-column tile as v_matmul: per k, two b loads and four broadcasts
+// feed eight FMAs. Column strips are the outer loop, so one strip of a tall
+// b (a slot's stacked frames) stays in L1 across all row blocks. Every
+// element is one FMA chain in ascending k whichever tile it lands in.
 void v_matmul_at_b_accum(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.rows == b.rows && out.rows == a.cols && out.cols == b.cols);
   const int m = a.cols, kk = a.rows, ldn = out.ld;
-  int i = 0;
-  for (; i + 4 <= m; i += 4) {
-    double* o0 = out.row(i);
-    double* o1 = out.row(i + 1);
-    double* o2 = out.row(i + 2);
-    double* o3 = out.row(i + 3);
-    for (int j = 0; j < ldn; j += 4) {
+  const int m4 = m / 4 * 4;
+  int j = 0;
+  for (; j + 8 <= ldn; j += 8) {
+    for (int i = 0; i < m4; i += 4) {
+      double* o0 = out.row(i);
+      double* o1 = out.row(i + 1);
+      double* o2 = out.row(i + 2);
+      double* o3 = out.row(i + 3);
+      __m256d c00 = _mm256_load_pd(o0 + j), c01 = _mm256_load_pd(o0 + j + 4);
+      __m256d c10 = _mm256_load_pd(o1 + j), c11 = _mm256_load_pd(o1 + j + 4);
+      __m256d c20 = _mm256_load_pd(o2 + j), c21 = _mm256_load_pd(o2 + j + 4);
+      __m256d c30 = _mm256_load_pd(o3 + j), c31 = _mm256_load_pd(o3 + j + 4);
+      for (int k = 0; k < kk; ++k) {
+        const double* ak = a.row(k) + i;
+        const double* bk = b.row(k) + j;
+        const __m256d b0 = _mm256_load_pd(bk);
+        const __m256d b1 = _mm256_load_pd(bk + 4);
+        const __m256d va0 = _mm256_broadcast_sd(ak);
+        const __m256d va1 = _mm256_broadcast_sd(ak + 1);
+        const __m256d va2 = _mm256_broadcast_sd(ak + 2);
+        const __m256d va3 = _mm256_broadcast_sd(ak + 3);
+        c00 = _mm256_fmadd_pd(va0, b0, c00);
+        c01 = _mm256_fmadd_pd(va0, b1, c01);
+        c10 = _mm256_fmadd_pd(va1, b0, c10);
+        c11 = _mm256_fmadd_pd(va1, b1, c11);
+        c20 = _mm256_fmadd_pd(va2, b0, c20);
+        c21 = _mm256_fmadd_pd(va2, b1, c21);
+        c30 = _mm256_fmadd_pd(va3, b0, c30);
+        c31 = _mm256_fmadd_pd(va3, b1, c31);
+      }
+      _mm256_store_pd(o0 + j, c00);
+      _mm256_store_pd(o0 + j + 4, c01);
+      _mm256_store_pd(o1 + j, c10);
+      _mm256_store_pd(o1 + j + 4, c11);
+      _mm256_store_pd(o2 + j, c20);
+      _mm256_store_pd(o2 + j + 4, c21);
+      _mm256_store_pd(o3 + j, c30);
+      _mm256_store_pd(o3 + j + 4, c31);
+    }
+  }
+  for (; j < ldn; j += 4) {
+    for (int i = 0; i < m4; i += 4) {
+      double* o0 = out.row(i);
+      double* o1 = out.row(i + 1);
+      double* o2 = out.row(i + 2);
+      double* o3 = out.row(i + 3);
       __m256d c0 = _mm256_load_pd(o0 + j);
       __m256d c1 = _mm256_load_pd(o1 + j);
       __m256d c2 = _mm256_load_pd(o2 + j);
@@ -233,7 +277,7 @@ void v_matmul_at_b_accum(const Matrix& a, const Matrix& b, Matrix& out) {
       _mm256_store_pd(o3 + j, c3);
     }
   }
-  for (; i < m; ++i) {
+  for (int i = m4; i < m; ++i) {
     double* oi = out.row(i);
     for (int j = 0; j < ldn; j += 4) {
       __m256d c = _mm256_load_pd(oi + j);
@@ -241,6 +285,53 @@ void v_matmul_at_b_accum(const Matrix& a, const Matrix& b, Matrix& out) {
         c = _mm256_fmadd_pd(_mm256_broadcast_sd(a.row(k) + i), _mm256_load_pd(b.row(k) + j), c);
       }
       _mm256_store_pd(oi + j, c);
+    }
+  }
+}
+
+// o[j] += Σ_t alpha[t]·x[t][j] over a padded row, the T terms chained in
+// order (one FMA each, as v_axpy would) with alphas and row pointers held in
+// registers.
+template <int T>
+inline void fma_terms(double* o, const double* alpha, const double* const* x, int ldn) {
+  __m256d va[T];
+  const double* xr[T];
+  for (int t = 0; t < T; ++t) {
+    va[t] = _mm256_set1_pd(alpha[t]);
+    xr[t] = x[t];
+  }
+  for (int j = 0; j < ldn; j += 4) {
+    __m256d c = _mm256_load_pd(o + j);
+    for (int t = 0; t < T; ++t) c = _mm256_fmadd_pd(va[t], _mm256_load_pd(xr[t] + j), c);
+    _mm256_store_pd(o + j, c);
+  }
+}
+
+// Row-sparse out += aᵀ·b: per out row, the nonzero a[k][i] go in groups of
+// up to four (ascending k) and each group is one load/FMA-chain/store pass
+// over the row — per element the same FMA sequence as one v_axpy per term.
+void v_matmul_at_b_accum_sparse(const Matrix& a, const Matrix& b, Matrix& out) {
+  assert(a.rows == b.rows && out.rows == a.cols && out.cols == b.cols);
+  const int ldn = out.ld;
+  for (int i = 0; i < out.rows; ++i) {
+    double* oi = out.row(i);
+    for (int k0 = 0; k0 < a.rows;) {
+      double alpha[4];
+      const double* x[4];
+      int terms = 0;
+      for (; k0 < a.rows && terms < 4; ++k0) {
+        const double d = a.at(k0, i);
+        if (d == 0.0) continue;
+        alpha[terms] = d;
+        x[terms++] = b.row(k0);
+      }
+      switch (terms) {
+        case 4: fma_terms<4>(oi, alpha, x, ldn); break;
+        case 3: fma_terms<3>(oi, alpha, x, ldn); break;
+        case 2: fma_terms<2>(oi, alpha, x, ldn); break;
+        case 1: fma_terms<1>(oi, alpha, x, ldn); break;
+        default: break;
+      }
     }
   }
 }
@@ -284,6 +375,116 @@ void v_matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
         c = _mm256_fmadd_pd(_mm256_load_pd(ai + k), _mm256_load_pd(bj + k), c);
       }
       oi[j] = hsum_pd(c);
+    }
+  }
+}
+
+// One accumulator reduced as (l0 + l1) + (l2 + l3) — the association
+// reduce_pair gives each of its two lanes.
+inline double reduce_one(__m256d c) {
+  const __m128d s = _mm_hadd_pd(_mm256_castpd256_pd128(c), _mm256_extractf128_pd(c, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
+}
+
+// {reduce_one(c0), reduce_one(c1)} in one hadd + add.
+inline __m128d reduce_pair(__m256d c0, __m256d c1) {
+  const __m256d h = _mm256_hadd_pd(c0, c1);  // {c0 01, c1 01, c0 23, c1 23}
+  return _mm_add_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd(h, 1));
+}
+
+// out = a·bᵀ + bias. Tiles of 4 a-rows × 2 b-rows (eight accumulators, six
+// loads per k-step), so a slot's few dense-layer rows stream each weight row
+// once. Every element is the same computation wherever it lands — a 4-lane
+// FMA chain over the padded k, reduce_one's association, then + bias — so a
+// sample's outputs never depend on which other rows share the call.
+void v_matmul_a_bt_bias(const Matrix& a, const Matrix& b, const Matrix& bias, Matrix& out) {
+  assert(a.cols == b.cols && bias.cols == b.rows);
+  out.resize_uninit(a.rows, b.rows);
+  const int m = a.rows, n = b.rows, ldk = a.ld;
+  const double* bv = bias.row(0);
+  int i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* a0 = a.row(i);
+    const double* a1 = a.row(i + 1);
+    const double* a2 = a.row(i + 2);
+    const double* a3 = a.row(i + 3);
+    int j = 0;
+    for (; j + 2 <= n; j += 2) {
+      const double* b0 = b.row(j);
+      const double* b1 = b.row(j + 1);
+      __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
+      __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
+      __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
+      __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
+      for (int k = 0; k < ldk; k += 4) {
+        const __m256d vb0 = _mm256_load_pd(b0 + k);
+        const __m256d vb1 = _mm256_load_pd(b1 + k);
+        __m256d va = _mm256_load_pd(a0 + k);
+        c00 = _mm256_fmadd_pd(va, vb0, c00);
+        c01 = _mm256_fmadd_pd(va, vb1, c01);
+        va = _mm256_load_pd(a1 + k);
+        c10 = _mm256_fmadd_pd(va, vb0, c10);
+        c11 = _mm256_fmadd_pd(va, vb1, c11);
+        va = _mm256_load_pd(a2 + k);
+        c20 = _mm256_fmadd_pd(va, vb0, c20);
+        c21 = _mm256_fmadd_pd(va, vb1, c21);
+        va = _mm256_load_pd(a3 + k);
+        c30 = _mm256_fmadd_pd(va, vb0, c30);
+        c31 = _mm256_fmadd_pd(va, vb1, c31);
+      }
+      const __m128d vbias = _mm_loadu_pd(bv + j);
+      _mm_storeu_pd(out.row(i) + j, _mm_add_pd(vbias, reduce_pair(c00, c01)));
+      _mm_storeu_pd(out.row(i + 1) + j, _mm_add_pd(vbias, reduce_pair(c10, c11)));
+      _mm_storeu_pd(out.row(i + 2) + j, _mm_add_pd(vbias, reduce_pair(c20, c21)));
+      _mm_storeu_pd(out.row(i + 3) + j, _mm_add_pd(vbias, reduce_pair(c30, c31)));
+    }
+    if (j < n) {
+      const double* bj = b.row(j);
+      __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
+      __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
+      for (int k = 0; k < ldk; k += 4) {
+        const __m256d vb = _mm256_load_pd(bj + k);
+        c0 = _mm256_fmadd_pd(_mm256_load_pd(a0 + k), vb, c0);
+        c1 = _mm256_fmadd_pd(_mm256_load_pd(a1 + k), vb, c1);
+        c2 = _mm256_fmadd_pd(_mm256_load_pd(a2 + k), vb, c2);
+        c3 = _mm256_fmadd_pd(_mm256_load_pd(a3 + k), vb, c3);
+      }
+      out.row(i)[j] = bv[j] + reduce_one(c0);
+      out.row(i + 1)[j] = bv[j] + reduce_one(c1);
+      out.row(i + 2)[j] = bv[j] + reduce_one(c2);
+      out.row(i + 3)[j] = bv[j] + reduce_one(c3);
+    }
+  }
+  // Leftover rows: four b-rows at a time keeps four independent FMA chains
+  // in flight (a one-sample slot runs entirely here).
+  for (; i < m; ++i) {
+    const double* ai = a.row(i);
+    double* oi = out.row(i);
+    int j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const double* b0 = b.row(j);
+      const double* b1 = b.row(j + 1);
+      const double* b2 = b.row(j + 2);
+      const double* b3 = b.row(j + 3);
+      __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
+      __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
+      for (int k = 0; k < ldk; k += 4) {
+        const __m256d va = _mm256_load_pd(ai + k);
+        c0 = _mm256_fmadd_pd(va, _mm256_load_pd(b0 + k), c0);
+        c1 = _mm256_fmadd_pd(va, _mm256_load_pd(b1 + k), c1);
+        c2 = _mm256_fmadd_pd(va, _mm256_load_pd(b2 + k), c2);
+        c3 = _mm256_fmadd_pd(va, _mm256_load_pd(b3 + k), c3);
+      }
+      _mm_storeu_pd(oi + j, _mm_add_pd(_mm_loadu_pd(bv + j), reduce_pair(c0, c1)));
+      _mm_storeu_pd(oi + j + 2, _mm_add_pd(_mm_loadu_pd(bv + j + 2), reduce_pair(c2, c3)));
+    }
+    for (; j < n; ++j) {
+      const double* bj = b.row(j);
+      __m256d c = _mm256_setzero_pd();
+      for (int k = 0; k < ldk; k += 4) {
+        c = _mm256_fmadd_pd(_mm256_load_pd(ai + k), _mm256_load_pd(bj + k), c);
+      }
+      oi[j] = bv[j] + reduce_one(c);
     }
   }
 }
@@ -472,6 +673,8 @@ constexpr KernelTable kAvx2Table = {
     v_matmul,
     v_matmul_at_b_accum,
     v_matmul_a_bt,
+    v_matmul_a_bt_bias,
+    v_matmul_at_b_accum_sparse,
     v_propagate,
     v_propagate_transpose,
     v_tanh_inplace,

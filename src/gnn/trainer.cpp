@@ -19,11 +19,13 @@ namespace muxlink::gnn {
 
 namespace {
 
-// Samples per gradient slot. Chunking is fixed (independent of the thread
-// count), so the slot a sample lands in — and therefore the floating-point
-// reduction order — is identical whether 1 or 64 threads run the batch.
-constexpr std::size_t kGradChunk = 4;
-// Samples per evaluation task (predictions are cheap; amortize dispatch).
+// Samples per gradient slot: one layer-major Dgcnn slot. Chunking is fixed
+// (independent of the thread count), so the slot a sample lands in — and
+// therefore the floating-point reduction order — is identical whether 1 or
+// 64 threads run the batch.
+constexpr std::size_t kGradChunk = Dgcnn::kSlotSamples;
+// Samples per evaluation task (predictions are cheap; amortize dispatch),
+// scored kSlotSamples at a time.
 constexpr std::size_t kEvalChunk = 16;
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -33,20 +35,43 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// AUC over a pointer view (the trainer keeps the training split as
-// pointers); prediction runs on the thread pool like evaluate_auc.
-double evaluate_auc_ptrs(Dgcnn& model, const std::vector<const GraphSample*>& samples) {
-  if (samples.empty()) return 0.5;
+std::vector<const GraphSample*> pointers_to(const std::vector<GraphSample>& samples) {
+  std::vector<const GraphSample*> ptrs;
+  ptrs.reserve(samples.size());
+  for (const GraphSample& s : samples) ptrs.push_back(&s);
+  return ptrs;
+}
+
+// Scores every sample in slots on the thread pool; a sample's score does
+// not depend on its slot-mates, so neither does the result on the thread
+// count.
+std::vector<double> score_all(const Dgcnn& model, const std::vector<const GraphSample*>& samples) {
   std::vector<double> scores(samples.size());
-  std::vector<int> labels(samples.size());
   common::parallel_for(samples.size(), kEvalChunk,
                        [&](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           scores[i] = model.predict(*samples[i]);
-                           labels[i] = samples[i]->label;
+                         for (std::size_t i = begin; i < end; i += Dgcnn::kSlotSamples) {
+                           const std::size_t n = std::min(Dgcnn::kSlotSamples, end - i);
+                           model.score({samples.data() + i, n}, scores.data() + i);
                          }
                        });
-  return auc_from_scores(scores, labels);
+  return scores;
+}
+
+double accuracy_of(const Dgcnn& model, const std::vector<const GraphSample*>& samples) {
+  if (samples.empty()) return 0.0;
+  const std::vector<double> scores = score_all(model, samples);
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if ((scores[i] >= 0.5) == (samples[i]->label == 1)) ++correct;
+  }
+  return static_cast<double>(correct) / static_cast<double>(samples.size());
+}
+
+double auc_of(const Dgcnn& model, const std::vector<const GraphSample*>& samples) {
+  if (samples.empty()) return 0.5;
+  std::vector<int> labels(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) labels[i] = samples[i]->label;
+  return auc_from_scores(score_all(model, samples), labels);
 }
 
 double grad_sumsq(const std::vector<Matrix>& grads) {
@@ -61,21 +86,8 @@ double grad_sumsq(const std::vector<Matrix>& grads) {
 
 }  // namespace
 
-double evaluate_accuracy(Dgcnn& model, const std::vector<GraphSample>& samples) {
-  if (samples.empty()) return 0.0;
-  std::vector<std::size_t> correct(common::num_chunks(samples.size(), kEvalChunk), 0);
-  common::parallel_for(samples.size(), kEvalChunk,
-                       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-                         std::size_t c = 0;
-                         for (std::size_t i = begin; i < end; ++i) {
-                           const GraphSample& s = samples[i];
-                           const double p = model.predict(s);
-                           if ((p >= 0.5) == (s.label == 1)) ++c;
-                         }
-                         correct[chunk] = c;
-                       });
-  const std::size_t total = std::accumulate(correct.begin(), correct.end(), std::size_t{0});
-  return static_cast<double>(total) / static_cast<double>(samples.size());
+double evaluate_accuracy(const Dgcnn& model, const std::vector<GraphSample>& samples) {
+  return accuracy_of(model, pointers_to(samples));
 }
 
 double auc_from_scores(const std::vector<double>& scores, const std::vector<int>& labels) {
@@ -107,18 +119,8 @@ double auc_from_scores(const std::vector<double>& scores, const std::vector<int>
   return u / (static_cast<double>(npos) * static_cast<double>(nneg));
 }
 
-double evaluate_auc(Dgcnn& model, const std::vector<GraphSample>& samples) {
-  if (samples.empty()) return 0.5;
-  std::vector<double> scores(samples.size());
-  std::vector<int> labels(samples.size());
-  common::parallel_for(samples.size(), kEvalChunk,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           scores[i] = model.predict(samples[i]);
-                           labels[i] = samples[i].label;
-                         }
-                       });
-  return auc_from_scores(scores, labels);
+double evaluate_auc(const Dgcnn& model, const std::vector<GraphSample>& samples) {
+  return auc_of(model, pointers_to(samples));
 }
 
 TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& samples,
@@ -137,18 +139,12 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
   // A validation set this small cannot rank checkpoints meaningfully; fall
   // back to training on everything and validating on everything.
   if (val_count < 8) val_count = 0;
-  std::vector<GraphSample> val;
+  std::vector<const GraphSample*> val;
   std::vector<const GraphSample*> train;
   for (std::size_t i = 0; i < index.size(); ++i) {
-    if (i < val_count) {
-      val.push_back(samples[index[i]]);
-    } else {
-      train.push_back(&samples[index[i]]);
-    }
+    (i < val_count ? val : train).push_back(&samples[index[i]]);
   }
-  if (val.empty()) {
-    for (const GraphSample& s : samples) val.push_back(s);  // tiny datasets
-  }
+  if (val.empty()) val = pointers_to(samples);  // tiny datasets
   report.train_samples = train.size();
   report.val_samples = val.size();
 
@@ -213,9 +209,9 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
   // training is bit-identical for any thread count.
   const std::size_t batch = static_cast<std::size_t>(std::max(1, opts.batch_size));
   const std::size_t max_slots = common::num_chunks(batch, kGradChunk);
-  std::vector<std::vector<Matrix>> slot_grads;
+  std::vector<Dgcnn::SlotGradients> slot_grads;
   slot_grads.reserve(max_slots);
-  for (std::size_t s = 0; s < max_slots; ++s) slot_grads.push_back(model.make_gradient_buffers());
+  for (std::size_t s = 0; s < max_slots; ++s) slot_grads.push_back(model.make_slot_gradients());
   std::vector<double> slot_loss(max_slots, 0.0);
 
   // Telemetry is purely observational: the extra reductions below (gradient
@@ -247,19 +243,18 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
       const std::size_t slots = common::num_chunks(bsz, kGradChunk);
       common::parallel_for(
           bsz, kGradChunk, [&](std::size_t begin, std::size_t end, std::size_t slot) {
-            double loss = 0.0;
+            const GraphSample* members[kGradChunk];
+            std::uint64_t seeds[kGradChunk];
             for (std::size_t i = begin; i < end; ++i) {
               const std::size_t pos = batch_start + i;
-              loss += model.accumulate_gradients(*train[order[pos]], slot_grads[slot],
-                                                 splitmix64(epoch_salt + pos));
+              members[i - begin] = train[order[pos]];
+              seeds[i - begin] = splitmix64(epoch_salt + pos);
             }
-            slot_loss[slot] = loss;
+            slot_loss[slot] = model.accumulate_gradients({members, end - begin},
+                                                         slot_grads[slot], {seeds, end - begin});
           });
-      for (std::size_t s = 0; s < slots; ++s) {
-        model.add_gradients(slot_grads[s]);
-        loss_sum += slot_loss[s];
-        for (Matrix& m : slot_grads[s]) m.zero();
-      }
+      model.merge_gradients({slot_grads.data(), slots});
+      for (std::size_t s = 0; s < slots; ++s) loss_sum += slot_loss[s];
       if (want_norm) {
         // Norm of the merged (unaveraged) batch gradient; telemetry
         // reports the pre-clip value.
@@ -294,7 +289,7 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
       model.set_learning_rate(model.config().learning_rate * opts.rollback_lr_decay);
       continue;  // the diverged epoch updates no best/telemetry/checkpoint
     }
-    const double val_acc = evaluate_accuracy(model, val);
+    const double val_acc = accuracy_of(model, val);
     // Ties on validation accuracy (common with small validation sets) are
     // broken toward the lower training loss, so a lucky early epoch cannot
     // pin the checkpoint.
@@ -313,10 +308,9 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
       stats.epoch = epoch;
       stats.train_loss = train_loss;
       stats.val_accuracy = val_acc;
-      stats.train_auc = want_auc ? evaluate_auc_ptrs(model, train)
-                                 : std::numeric_limits<double>::quiet_NaN();
-      stats.val_auc =
-          want_auc ? evaluate_auc(model, val) : std::numeric_limits<double>::quiet_NaN();
+      stats.train_auc =
+          want_auc ? auc_of(model, train) : std::numeric_limits<double>::quiet_NaN();
+      stats.val_auc = want_auc ? auc_of(model, val) : std::numeric_limits<double>::quiet_NaN();
       stats.learning_rate = model.config().learning_rate;
       stats.grad_norm =
           num_batches ? grad_norm_sum / static_cast<double>(num_batches) : 0.0;

@@ -97,11 +97,11 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
 
 // Validation/test accuracy of the current parameters: prediction >= 0.5
 // counts as class 1. Predictions run in parallel on the global thread pool.
-double evaluate_accuracy(Dgcnn& model, const std::vector<GraphSample>& samples);
+double evaluate_accuracy(const Dgcnn& model, const std::vector<GraphSample>& samples);
 
 // ROC-AUC of the current parameters over `samples` (rank statistic; ties
 // count half). Returns 0.5 when one class is absent.
-double evaluate_auc(Dgcnn& model, const std::vector<GraphSample>& samples);
+double evaluate_auc(const Dgcnn& model, const std::vector<GraphSample>& samples);
 
 // ROC-AUC from precomputed scores/labels via the O(n log n) rank-sum
 // (Mann-Whitney) formulation with midrank tie correction. Equal to the

@@ -410,15 +410,29 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
   }
   {
     MUXLINK_TRACE("attack.score");
-    common::parallel_for(n_targets, 2, [&](std::size_t begin, std::size_t end, std::size_t) {
+    // Each task scores its uncached links as one DGCNN slot per model; a
+    // link's score does not depend on its slot-mates.
+    constexpr std::size_t kSlot = gnn::Dgcnn::kSlotSamples;
+    common::parallel_for(n_targets, kSlot, [&](std::size_t begin, std::size_t end, std::size_t) {
+      gnn::GraphSample samples[kSlot];
+      const gnn::GraphSample* slot[kSlot];
+      std::size_t index[kSlot];
+      std::size_t n = 0;
       for (std::size_t i = begin; i < end; ++i) {
         if (have[i]) continue;
         const auto sg = graph::extract_enclosing_subgraph(g, links[i], sgopts);
-        const auto gs = gnn::encode_subgraph(sg, opts.hops, 0);
-        double sum = 0.0;
-        for (const gnn::Dgcnn* model : scorers) sum += model->score(gs);
-        result.scores[i] = sum / ensemble;
+        samples[n] = gnn::encode_subgraph(sg, opts.hops, 0);
+        slot[n] = &samples[n];
+        index[n++] = i;
       }
+      if (n == 0) return;
+      double sum[kSlot] = {};
+      double p[kSlot];
+      for (const gnn::Dgcnn* model : scorers) {
+        model->score({slot, n}, p);
+        for (std::size_t j = 0; j < n; ++j) sum[j] += p[j];
+      }
+      for (std::size_t j = 0; j < n; ++j) result.scores[index[j]] = sum[j] / ensemble;
     });
   }
   if (cache) {

@@ -117,14 +117,17 @@ void release_tail(const char* base, std::size_t size, const std::vector<TensorEn
 std::string encode_model_blob(const gnn::Dgcnn& model, common::Json meta, bool with_optimizer) {
   // Collect the tensors in table order: params, then (optionally) the Adam
   // first and second moments, each group in parameter-index order.
+  // The tensors are read in place: copying them would add a model's worth
+  // of memory to every zoo insert, the cold attack's peak.
   std::vector<std::pair<TensorKind, const gnn::Matrix*>> tensors;
-  const std::vector<gnn::Matrix> params = model.save_parameters();
-  gnn::Dgcnn::OptimizerState opt;
-  for (const gnn::Matrix& p : params) tensors.emplace_back(TensorKind::kParam, &p);
+  for (const gnn::Matrix& p : model.parameters()) tensors.emplace_back(TensorKind::kParam, &p);
   if (with_optimizer) {
-    opt = model.optimizer_state();
-    for (const gnn::Matrix& m : opt.m) tensors.emplace_back(TensorKind::kAdamM, &m);
-    for (const gnn::Matrix& v : opt.v) tensors.emplace_back(TensorKind::kAdamV, &v);
+    for (const gnn::Matrix& m : model.adam_first_moments()) {
+      tensors.emplace_back(TensorKind::kAdamM, &m);
+    }
+    for (const gnn::Matrix& v : model.adam_second_moments()) {
+      tensors.emplace_back(TensorKind::kAdamV, &v);
+    }
   }
 
   // Self-describing meta: whatever provenance the caller recorded plus the
@@ -139,7 +142,7 @@ std::string encode_model_blob(const gnn::Dgcnn& model, common::Json meta, bool w
   for (const auto& [key, field] : kIntFields) m[key] = cfg.*field;
   for (const auto& [key, field] : kDoubleFields) m[key] = cfg.*field;
   m["seed"] = cfg.seed;
-  if (with_optimizer) meta["adam_t"] = static_cast<long long>(opt.t);
+  if (with_optimizer) meta["adam_t"] = static_cast<long long>(model.adam_steps());
   return gnn::encode_container(tensors, meta);
 }
 

@@ -1,15 +1,23 @@
 // Tests for the from-scratch DGCNN: matrix kernels, encoding, forward
 // determinism, finite-difference gradient checks over EVERY parameter
-// tensor, Adam convergence, and the trainer's checkpointing contract.
+// tensor, the layer-major slot path against a per-sample reference, Adam
+// convergence, and the trainer's checkpointing contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <random>
 
 #include "circuitgen/generator.h"
+#include "common/cpu_features.h"
+#include "common/metrics.h"
 #include "gnn/dgcnn.h"
 #include "gnn/encoding.h"
 #include "gnn/matrix.h"
+#include "gnn/simd.h"
 #include "gnn/trainer.h"
 #include "graph/circuit_graph.h"
 #include "graph/sampling.h"
@@ -230,25 +238,79 @@ TEST(Dgcnn, ParameterCountMatchesTopology) {
 
 // --- gradient checks ---------------------------------------------------------------
 
+// Random tree on n nodes with feature dim 12 (n < k, n == k and n > k all
+// occur with tiny_config's k = 6).
+GraphSample tree_sample(int n, int label, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  GraphSample g;
+  g.label = label;
+  std::vector<std::vector<int>> nbr(n);
+  for (int i = 1; i < n; ++i) {
+    const int j = static_cast<int>(rng() % i);
+    nbr[i].push_back(j);
+    nbr[j].push_back(i);
+  }
+  g.set_adjacency(nbr);
+  g.x = Matrix(n, 12);
+  for (int i = 0; i < n; ++i) g.x.at(i, static_cast<int>(rng() % 12)) = 1.0;
+  return g;
+}
+
+double cross_entropy(double p1, int label) {
+  return -std::log(std::max(label == 1 ? p1 : 1.0 - p1, 1e-12));
+}
+
+// Runs one slot through the trainer's entry and expands its gradients by
+// merging them into a zeroed copy of the model's accumulators.
+double slot_gradients(const Dgcnn& model, std::span<const GraphSample* const> slot,
+                      std::span<const std::uint64_t> seeds, std::vector<Matrix>& grads) {
+  Dgcnn sink = model;
+  sink.zero_gradients();
+  Dgcnn::SlotGradients buffers = model.make_slot_gradients();
+  const double loss = model.accumulate_gradients(slot, buffers, seeds);
+  sink.merge_gradients({&buffers, 1});
+  grads = sink.gradients();
+  return loss;
+}
+
 // Numerically verifies d(loss)/d(theta) for every parameter tensor via
-// central finite differences on a fixed sample.
+// central finite differences, through the slot entry: the loss is the sum
+// over a three-sample slot with n < k, n == k and n > k.
 class GradientCheck : public ::testing::TestWithParam<int> {};
 
 TEST_P(GradientCheck, MatchesFiniteDifferences) {
   const int label = GetParam() % 2;
   Dgcnn model(12, tiny_config());
-  const GraphSample g = tiny_sample(label, 100 + GetParam());
+  {
+    // Biases start at zero, which would put every zero frame of a graph
+    // smaller than k exactly on conv-1's ReLU kink; move them off it.
+    auto p = model.save_parameters();
+    std::mt19937_64 rng(GetParam());
+    std::uniform_real_distribution<double> u(-0.3, 0.3);
+    for (Matrix& m : p) {
+      if (m.rows != 1) continue;  // the bias rows
+      for (int c = 0; c < m.cols; ++c) m.at(0, c) = u(rng);
+    }
+    model.load_parameters(p);
+  }
+  const GraphSample a = tree_sample(3, label, 100 + GetParam());
+  const GraphSample b = tree_sample(6, 1 - label, 200 + GetParam());
+  const GraphSample c = tiny_sample(label, 100 + GetParam());
+  const GraphSample* slot[] = {&a, &b, &c};
 
-  auto loss_of = [&](Dgcnn& m) {
-    const double p1 = m.predict(g);
-    const double p_true = g.label == 1 ? p1 : 1.0 - p1;
-    return -std::log(std::max(p_true, 1e-12));
+  auto loss_of = [&](const Dgcnn& m) {
+    double p[3];
+    m.score(slot, p);
+    double loss = 0.0;
+    for (int i = 0; i < 3; ++i) loss += cross_entropy(p[i], slot[i]->label);
+    return loss;
   };
 
-  // Analytic gradients from one backprop pass.
-  model.zero_gradients();
-  model.accumulate_gradients(g);
-  const auto& analytic = model.gradients();
+  // Analytic gradients from one slot backprop pass.
+  std::vector<Matrix> analytic;
+  const std::uint64_t seeds[] = {1, 2, 3};
+  const double loss = slot_gradients(model, slot, seeds, analytic);
+  EXPECT_DOUBLE_EQ(loss, loss_of(model));  // dropout is 0: same forward
   const auto params = model.save_parameters();
 
   // Central finite differences on every element of every parameter tensor
@@ -278,6 +340,429 @@ TEST_P(GradientCheck, MatchesFiniteDifferences) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GradientCheck, ::testing::Values(0, 1, 2, 3));
+
+// --- slot path vs per-sample reference ---------------------------------------------
+
+// The per-sample DGCNN the slot path replaced, written out with plain loops:
+// every sum chains in the order the scalar kernels add (bias first, then
+// ascending index; gradients accumulate per sample, skipping zero terms), so
+// under the scalar table the slot path must reproduce it bit for bit.
+struct Reference {
+  const std::vector<Matrix>& p;  // parameters in parameter_shapes() order
+  const DgcnnConfig& cfg;
+
+  static Matrix propagate(const GraphSample& g, const Matrix& h) {
+    Matrix out(h.rows, h.cols);
+    for (int i = 0; i < h.rows; ++i) {
+      for (int c = 0; c < h.cols; ++c) {
+        double v = h.at(i, c);
+        for (int j : g.neighbors(i)) v += h.at(j, c);
+        out.at(i, c) = v * g.inv_deg[i];
+      }
+    }
+    return out;
+  }
+
+  static Matrix propagate_transpose(const GraphSample& g, const Matrix& d) {
+    Matrix out(d.rows, d.cols);
+    for (int j = 0; j < d.rows; ++j) {
+      for (int c = 0; c < d.cols; ++c) {
+        double v = g.inv_deg[j] * d.at(j, c);
+        for (int i : g.neighbors(j)) v += g.inv_deg[i] * d.at(i, c);
+        out.at(j, c) = v;
+      }
+    }
+    return out;
+  }
+
+  // Returns P(label = 1). With `rng` the forward drops units; with `grads`
+  // it also backpropagates into them.
+  double run(const GraphSample& g, std::mt19937_64* rng, std::vector<Matrix>* grads) const {
+    const int L = static_cast<int>(cfg.conv_channels.size());
+    const int n = g.x.rows, k = cfg.sortpool_k;
+    const int ch1 = cfg.conv1d_channels1, ch2 = cfg.conv1d_channels2, kw = cfg.conv1d_kernel2;
+    const int pooled = k / 2, len2 = pooled - kw + 1, units = cfg.dense_units;
+    const Matrix &k1 = p[L], &b1 = p[L + 1], &k2 = p[L + 2], &b2 = p[L + 3];
+    const Matrix &w5 = p[L + 4], &b5 = p[L + 5], &w6 = p[L + 6], &b6 = p[L + 7];
+    const int cat = std::accumulate(cfg.conv_channels.begin(), cfg.conv_channels.end(), 0);
+
+    std::vector<Matrix> u(L), h(L);
+    for (int l = 0; l < L; ++l) {
+      u[l] = propagate(g, l == 0 ? g.x : h[l - 1]);
+      h[l] = Matrix(n, cfg.conv_channels[l]);
+      for (int i = 0; i < n; ++i) {
+        for (int c = 0; c < h[l].cols; ++c) {
+          double v = 0.0;
+          for (int a = 0; a < u[l].cols; ++a) v += u[l].at(i, a) * p[l].at(a, c);
+          h[l].at(i, c) = std::tanh(v);
+        }
+      }
+    }
+    std::vector<int> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    const Matrix& last = h[L - 1];
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      const double va = last.at(a, last.cols - 1), vb = last.at(b, last.cols - 1);
+      return va != vb ? va > vb : a < b;
+    });
+    const int kept = std::min(k, n);
+    Matrix s(k, cat);
+    for (int t = 0; t < kept; ++t) {
+      int off = 0;
+      for (int l = 0; l < L; ++l) {
+        for (int c = 0; c < h[l].cols; ++c) s.at(t, off + c) = h[l].at(order[t], c);
+        off += h[l].cols;
+      }
+    }
+    Matrix c1(k, ch1);
+    for (int t = 0; t < k; ++t) {
+      for (int c = 0; c < ch1; ++c) {
+        double v = b1.at(0, c);
+        for (int j = 0; j < cat; ++j) v += k1.at(c, j) * s.at(t, j);
+        c1.at(t, c) = v > 0.0 ? v : 0.0;
+      }
+    }
+    Matrix m(pooled, ch1);
+    std::vector<int> argmax(static_cast<std::size_t>(pooled) * ch1);
+    for (int t = 0; t < pooled; ++t) {
+      for (int c = 0; c < ch1; ++c) {
+        const bool first = c1.at(2 * t, c) >= c1.at(2 * t + 1, c);
+        m.at(t, c) = first ? c1.at(2 * t, c) : c1.at(2 * t + 1, c);
+        argmax[static_cast<std::size_t>(t) * ch1 + c] = first ? 2 * t : 2 * t + 1;
+      }
+    }
+    Matrix c2(len2, ch2);
+    std::vector<double> f(static_cast<std::size_t>(len2) * ch2);
+    for (int t = 0; t < len2; ++t) {
+      for (int c = 0; c < ch2; ++c) {
+        double v = b2.at(0, c);
+        for (int dt = 0; dt < kw; ++dt) {
+          for (int j = 0; j < ch1; ++j) v += k2.at(c, dt * ch1 + j) * m.at(t + dt, j);
+        }
+        c2.at(t, c) = v > 0.0 ? v : 0.0;
+        f[static_cast<std::size_t>(t) * ch2 + c] = c2.at(t, c);
+      }
+    }
+    std::vector<double> hid(units), mask(units, 1.0);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int q = 0; q < units; ++q) {
+      double v = b5.at(0, q);
+      for (std::size_t j = 0; j < f.size(); ++j) v += w5.at(q, static_cast<int>(j)) * f[j];
+      v = v > 0.0 ? v : 0.0;
+      if (rng != nullptr && cfg.dropout > 0.0) {
+        if (unit(*rng) < cfg.dropout) {
+          mask[q] = 0.0;
+          v = 0.0;
+        } else {
+          mask[q] = 1.0 / (1.0 - cfg.dropout);
+          v *= mask[q];
+        }
+      }
+      hid[q] = v;
+    }
+    double logits[2];
+    for (int c = 0; c < 2; ++c) {
+      logits[c] = b6.at(0, c);
+      for (int q = 0; q < units; ++q) logits[c] += w6.at(c, q) * hid[q];
+    }
+    const double mx = std::max(logits[0], logits[1]);
+    const double e0 = std::exp(logits[0] - mx), e1 = std::exp(logits[1] - mx);
+    const double p1 = e1 / (e0 + e1);
+    if (grads == nullptr) return p1;
+
+    std::vector<Matrix>& gr = *grads;
+    const double dl[2] = {(1.0 - p1) - (g.label == 0 ? 1.0 : 0.0), p1 - (g.label == 1 ? 1.0 : 0.0)};
+    std::vector<double> dhid(units, 0.0);
+    for (int c = 0; c < 2; ++c) {
+      gr[L + 7].at(0, c) += dl[c];
+      for (int q = 0; q < units; ++q) {
+        gr[L + 6].at(c, q) += dl[c] * hid[q];
+        dhid[q] += dl[c] * w6.at(c, q);
+      }
+    }
+    for (int q = 0; q < units; ++q) dhid[q] = hid[q] > 0.0 ? dhid[q] * mask[q] : 0.0;
+    std::vector<double> df(f.size(), 0.0);
+    for (int q = 0; q < units; ++q) {
+      if (dhid[q] == 0.0) continue;
+      gr[L + 5].at(0, q) += dhid[q];
+      for (std::size_t j = 0; j < f.size(); ++j) {
+        gr[L + 4].at(q, static_cast<int>(j)) += dhid[q] * f[j];
+        df[j] += dhid[q] * w5.at(q, static_cast<int>(j));
+      }
+    }
+    Matrix dm(pooled, ch1);
+    for (int t = 0; t < len2; ++t) {
+      for (int c = 0; c < ch2; ++c) {
+        const double d = df[static_cast<std::size_t>(t) * ch2 + c];
+        if (c2.at(t, c) <= 0.0 || d == 0.0) continue;
+        gr[L + 3].at(0, c) += d;
+        for (int dt = 0; dt < kw; ++dt) {
+          for (int j = 0; j < ch1; ++j) {
+            gr[L + 2].at(c, dt * ch1 + j) += d * m.at(t + dt, j);
+            dm.at(t + dt, j) += d * k2.at(c, dt * ch1 + j);
+          }
+        }
+      }
+    }
+    Matrix dc1(k, ch1);
+    for (int t = 0; t < pooled; ++t) {
+      for (int c = 0; c < ch1; ++c) {
+        if (dm.at(t, c) != 0.0) dc1.at(argmax[static_cast<std::size_t>(t) * ch1 + c], c) += dm.at(t, c);
+      }
+    }
+    Matrix ds(k, cat);
+    for (int t = 0; t < k; ++t) {
+      for (int c = 0; c < ch1; ++c) {
+        const double d = dc1.at(t, c);
+        if (d == 0.0 || c1.at(t, c) <= 0.0) continue;
+        gr[L + 1].at(0, c) += d;
+        for (int j = 0; j < cat; ++j) {
+          gr[L].at(c, j) += d * s.at(t, j);
+          ds.at(t, j) += d * k1.at(c, j);
+        }
+      }
+    }
+    std::vector<Matrix> dh(L);
+    for (int l = 0; l < L; ++l) dh[l] = Matrix(n, cfg.conv_channels[l]);
+    for (int t = 0; t < kept; ++t) {
+      int off = 0;
+      for (int l = 0; l < L; ++l) {
+        for (int c = 0; c < dh[l].cols; ++c) dh[l].at(order[t], c) += ds.at(t, off + c);
+        off += dh[l].cols;
+      }
+    }
+    for (int l = L - 1; l >= 0; --l) {
+      for (int i = 0; i < n; ++i) {
+        for (int c = 0; c < dh[l].cols; ++c) dh[l].at(i, c) *= 1.0 - h[l].at(i, c) * h[l].at(i, c);
+      }
+      for (int a = 0; a < u[l].cols; ++a) {
+        for (int c = 0; c < dh[l].cols; ++c) {
+          double v = gr[l].at(a, c);
+          for (int i = 0; i < n; ++i) v += u[l].at(i, a) * dh[l].at(i, c);
+          gr[l].at(a, c) = v;
+        }
+      }
+      if (l == 0) break;
+      Matrix du(n, u[l].cols);
+      for (int i = 0; i < n; ++i) {
+        for (int a = 0; a < u[l].cols; ++a) {
+          double v = 0.0;
+          for (int c = 0; c < dh[l].cols; ++c) v += dh[l].at(i, c) * p[l].at(a, c);
+          du.at(i, a) = v;
+        }
+      }
+      const Matrix dz = propagate_transpose(g, du);
+      for (int i = 0; i < n; ++i) {
+        for (int a = 0; a < dz.cols; ++a) dh[l - 1].at(i, a) += dz.at(i, a);
+      }
+    }
+    return p1;
+  }
+};
+
+DgcnnConfig slot_config() {
+  DgcnnConfig cfg = tiny_config();
+  cfg.dropout = 0.5;
+  return cfg;
+}
+
+// Samples with n < k, n == k and n > k for tiny_config's k = 6, both labels.
+std::vector<GraphSample> mixed_samples() {
+  std::vector<GraphSample> out;
+  const int sizes[] = {3, 6, 9, 4, 6, 12, 5, 8, 2, 7};
+  for (int i = 0; i < 10; ++i) out.push_back(tree_sample(sizes[i], i % 2, 300 + i));
+  return out;
+}
+
+// Runs every slot size 1..4 over the mixed samples through the slot path
+// and the reference; `same` compares two doubles.
+template <typename Same>
+void check_slots_against_reference(Same same) {
+  const DgcnnConfig cfg = slot_config();
+  Dgcnn model(12, cfg);
+  // Move off the initial weights so biases and every layer are nonzero.
+  const std::vector<GraphSample> data = mixed_samples();
+  for (int step = 0; step < 3; ++step) {
+    for (const GraphSample& g : data) model.accumulate_gradients(g);
+    model.adam_step(data.size());
+  }
+  const std::vector<Matrix> params = model.save_parameters();
+  const Reference ref{params, cfg};
+
+  for (std::size_t size = 1; size <= Dgcnn::kSlotSamples; ++size) {
+    for (std::size_t first = 0; first + size <= data.size(); first += size) {
+      std::vector<const GraphSample*> slot;
+      std::vector<std::uint64_t> seeds;
+      for (std::size_t i = first; i < first + size; ++i) {
+        slot.push_back(&data[i]);
+        seeds.push_back(1000 + i);
+      }
+      SCOPED_TRACE("slot of " + std::to_string(size) + " from sample " + std::to_string(first));
+
+      // Scoring: the slot scores each sample as the reference does.
+      std::vector<double> scores(size);
+      model.score(slot, scores.data());
+      for (std::size_t i = 0; i < size; ++i) {
+        same(scores[i], ref.run(*slot[i], nullptr, nullptr), "score");
+      }
+
+      // Training: losses and gradients, samples accumulated in order.
+      std::vector<Matrix> got;
+      const double loss = slot_gradients(model, slot, seeds, got);
+      std::vector<Matrix> want = model.make_gradient_buffers();
+      double want_loss = 0.0;
+      for (std::size_t i = 0; i < size; ++i) {
+        std::mt19937_64 rng(seeds[i]);
+        want_loss += cross_entropy(ref.run(*slot[i], &rng, &want), slot[i]->label);
+      }
+      same(loss, want_loss, "loss");
+      for (std::size_t t = 0; t < want.size(); ++t) {
+        for (int r = 0; r < want[t].rows; ++r) {
+          for (int c = 0; c < want[t].cols; ++c) {
+            same(got[t].at(r, c), want[t].at(r, c),
+                 ("gradient tensor " + std::to_string(t)).c_str());
+          }
+        }
+      }
+    }
+  }
+}
+
+struct SimdModeGuard {
+  ~SimdModeGuard() { common::set_simd_mode(common::SimdMode::kAuto); }
+};
+
+TEST(SlotBatch, ScalarSlotsMatchPerSampleReferenceBitForBit) {
+  SimdModeGuard guard;
+  common::set_simd_mode(common::SimdMode::kScalar);
+  check_slots_against_reference([](double got, double want, const char* what) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << what << ": " << got << " vs " << want;
+  });
+}
+
+TEST(SlotBatch, Avx2SlotsMatchPerSampleReferenceWithinTolerance) {
+  if (avx2_kernels() == nullptr) GTEST_SKIP() << "host or build lacks AVX2+FMA";
+  SimdModeGuard guard;
+  common::set_simd_mode(common::SimdMode::kAvx2);
+  // test_simd's kernel tolerance, applied end to end.
+  check_slots_against_reference([](double got, double want, const char* what) {
+    ASSERT_NEAR(got, want, 1e-10 * std::max(1.0, std::abs(want))) << what;
+  });
+}
+
+// In every table a sample's score and gradients do not depend on its
+// slot-mates: one four-sample slot equals four one-sample slots bit for bit.
+TEST(SlotBatch, SlotEqualsItsSamplesOneByOne) {
+  const DgcnnConfig cfg = slot_config();
+  const Dgcnn model(12, cfg);
+  const std::vector<GraphSample> data = mixed_samples();
+  const GraphSample* slot[] = {&data[0], &data[1], &data[2], &data[5]};
+  const std::uint64_t seeds[] = {7, 8, 9, 10};
+  double together[4];
+  model.score(slot, together);
+  std::vector<Matrix> slot_grads;
+  const double slot_loss = slot_gradients(model, slot, seeds, slot_grads);
+  std::vector<Matrix> one_by_one = model.make_gradient_buffers();
+  double loss = 0.0;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(together[i]),
+              std::bit_cast<std::uint64_t>(model.score(*slot[i])));
+    loss += model.accumulate_gradients(*slot[i], one_by_one, seeds[i]);
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(slot_loss), std::bit_cast<std::uint64_t>(loss));
+  for (std::size_t t = 0; t < slot_grads.size(); ++t) {
+    EXPECT_TRUE(slot_grads[t].data == one_by_one[t].data) << "gradient tensor " << t;
+  }
+}
+
+TEST(SlotBatch, RejectsOversizedSlotsAndMissingSeeds) {
+  const Dgcnn model(12, tiny_config());
+  const std::vector<GraphSample> data = mixed_samples();
+  const GraphSample* five[] = {&data[0], &data[1], &data[2], &data[3], &data[4]};
+  double out[5];
+  EXPECT_THROW(model.score(five, out), std::invalid_argument);
+  Dgcnn::SlotGradients grads = model.make_slot_gradients();
+  const std::uint64_t seeds[] = {1, 2, 3, 4, 5};
+  EXPECT_THROW(model.accumulate_gradients(five, grads, seeds), std::invalid_argument);
+  const GraphSample* two[] = {&data[0], &data[1]};
+  EXPECT_THROW(model.accumulate_gradients(two, grads, std::span(seeds, 1)),
+               std::invalid_argument);
+}
+
+// merge_gradients adds each slot in order exactly as if the slot had been
+// accumulated, sample by sample, into a zeroed parameter-shaped buffer and
+// that buffer added element by element — onto accumulators already holding
+// gradients, with slots of different sizes, in either table.
+TEST(SlotBatch, MergeAddsSlotsInOrderLikeExpandedBuffers) {
+  const DgcnnConfig cfg = slot_config();
+  const std::vector<GraphSample> data = mixed_samples();
+  Dgcnn merged(12, cfg);
+  for (int i = 0; i < 3; ++i) merged.accumulate_gradients(data[i]);  // nonzero start
+  std::vector<Matrix> expected = merged.gradients();
+  const std::size_t firsts[] = {0, 4, 8};
+  const std::size_t sizes[] = {4, 4, 2};
+  std::vector<Dgcnn::SlotGradients> slots;
+  for (int s = 0; s < 3; ++s) {
+    std::vector<const GraphSample*> members;
+    std::vector<std::uint64_t> seeds;
+    std::vector<Matrix> buffer = merged.make_gradient_buffers();
+    for (std::size_t i = firsts[s]; i < firsts[s] + sizes[s]; ++i) {
+      members.push_back(&data[i]);
+      seeds.push_back(40 + i);
+      merged.accumulate_gradients(data[i], buffer, 40 + i);
+    }
+    for (std::size_t t = 0; t < buffer.size(); ++t) {
+      for (std::size_t e = 0; e < buffer[t].data.size(); ++e) {
+        expected[t].data[e] += buffer[t].data[e];
+      }
+    }
+    slots.push_back(merged.make_slot_gradients());
+    merged.accumulate_gradients(members, slots.back(), seeds);
+  }
+  merged.merge_gradients(slots);
+  for (std::size_t t = 0; t < expected.size(); ++t) {
+    EXPECT_TRUE(merged.gradients()[t].data == expected[t].data) << "tensor " << t;
+  }
+  // Merging empties the slots: a second merge adds nothing.
+  const std::vector<Matrix> before = merged.gradients();
+  merged.merge_gradients(slots);
+  for (std::size_t t = 0; t < before.size(); ++t) {
+    EXPECT_TRUE(merged.gradients()[t].data == before[t].data) << "tensor " << t;
+  }
+}
+
+// The trainer runs every batch as ⌈bsz/4⌉ slots through the slot entry —
+// counted by `gnn.train.slots` — and each backward slot records one sample
+// of every `gnn.layer.*.bwd_s` timer.
+TEST(SlotBatch, TrainerRunsEveryBatchAsSlots) {
+  if (!common::metrics_enabled()) GTEST_SKIP() << "metrics disabled";
+  std::vector<GraphSample> data;
+  for (int i = 0; i < 23; ++i) data.push_back(tree_sample(3 + i % 8, i % 2, 500 + i));
+  Dgcnn model(12, slot_config());
+  TrainOptions topts;
+  topts.epochs = 3;
+  topts.batch_size = 10;  // batches of 10, 10 and 3 samples
+  common::MetricsRegistry::instance().reset();
+  const TrainReport report = train_link_predictor(model, data, topts);
+  ASSERT_EQ(report.train_samples, 23u);  // 23 < 80: validation reuses every sample
+  std::int64_t expected = 0;
+  for (std::size_t start = 0; start < report.train_samples; start += 10) {
+    const std::size_t bsz = std::min<std::size_t>(10, report.train_samples - start);
+    expected += static_cast<std::int64_t>((bsz + Dgcnn::kSlotSamples - 1) / Dgcnn::kSlotSamples);
+  }
+  expected *= topts.epochs;
+  const common::MetricsSnapshot snap = common::MetricsRegistry::instance().snapshot();
+  EXPECT_EQ(snap.counters.at("gnn.train.slots"), expected);
+  for (const char* layer : {"gconv", "sortpool", "conv1", "conv2", "dense1", "dense2"}) {
+    const std::string bwd = std::string("gnn.layer.") + layer + ".bwd_s";
+    const std::string fwd = std::string("gnn.layer.") + layer + ".fwd_s";
+    ASSERT_TRUE(snap.histograms.count(bwd)) << bwd;
+    EXPECT_EQ(snap.histograms.at(bwd).count, static_cast<std::uint64_t>(expected)) << bwd;
+    // Forward also runs for the validation pass.
+    EXPECT_GT(snap.histograms.at(fwd).count, static_cast<std::uint64_t>(expected)) << fwd;
+  }
+}
 
 // --- AUC ------------------------------------------------------------------------------
 

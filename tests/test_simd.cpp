@@ -6,8 +6,9 @@
 //     order, no FMA, so the AVX2 table must match the scalar table bit for
 //     bit on every input;
 //   * tolerance-equivalent — matmul, matmul_at_b_accum, matmul_a_bt,
-//     dot_acc, axpy, sumsq_acc, tanh, sigmoid: lane reassociation / FMA /
-//     polynomial exp change low-order bits only.
+//     matmul_a_bt_bias, matmul_at_b_accum_sparse, dot_acc, axpy, sumsq_acc,
+//     tanh, sigmoid: lane reassociation / FMA / polynomial exp change
+//     low-order bits only.
 //
 // Shapes are deliberately odd/prime so every padded row has live pad lanes
 // and every remainder loop in the AVX2 TU runs. On hosts without AVX2+FMA
@@ -137,6 +138,81 @@ TEST_F(SimdEquivalence, MatmulABtToleranceEquivalent) {
     sc().matmul_a_bt(a, b, ref);
     avx2_->matmul_a_bt(a, b, got);
     expect_matrices(ref, got, /*bit_identical=*/false, "matmul_a_bt");
+  }
+}
+
+TEST_F(SimdEquivalence, MatmulABtBiasToleranceEquivalent) {
+  for (const auto& s : kShapes) {
+    const auto a = random_matrix(s[0], s[1], rng_);
+    const auto b = random_matrix(s[2], s[1], rng_);
+    const auto bias = random_matrix(1, s[2], rng_);
+    gnn::Matrix ref, got;
+    sc().matmul_a_bt_bias(a, b, bias, ref);
+    avx2_->matmul_a_bt_bias(a, b, bias, got);
+    expect_matrices(ref, got, /*bit_identical=*/false, "matmul_a_bt_bias");
+  }
+}
+
+// The scalar oracle's bias-first chain is dot_acc's (the DGCNN head's
+// pre-slot accumulation), and in both tables a row's outputs do not depend
+// on the other rows of the call — a slot scores each sample alone.
+TEST_F(SimdEquivalence, MatmulABtBiasChainsLikeDotAccAndRowsAreIndependent) {
+  for (const auto& s : kShapes) {
+    const auto a = random_matrix(s[0], s[1], rng_);
+    const auto b = random_matrix(s[2], s[1], rng_);
+    const auto bias = random_matrix(1, s[2], rng_);
+    gnn::Matrix all;
+    sc().matmul_a_bt_bias(a, b, bias, all);
+    for (int i = 0; i < s[0]; ++i) {
+      for (int j = 0; j < s[2]; ++j) {
+        expect_bits_equal(sc().dot_acc(bias.at(0, j), b.row(j), a.row(i), s[1]), all.at(i, j),
+                          "matmul_a_bt_bias vs dot_acc", static_cast<std::size_t>(i) * s[2] + j);
+      }
+    }
+    for (const gnn::KernelTable* t : {&sc(), avx2_}) {
+      t->matmul_a_bt_bias(a, b, bias, all);
+      for (int i = 0; i < s[0]; ++i) {
+        gnn::Matrix one_row(1, s[1]);
+        for (int k = 0; k < s[1]; ++k) one_row.at(0, k) = a.at(i, k);
+        gnn::Matrix alone;
+        t->matmul_a_bt_bias(one_row, b, bias, alone);
+        for (int j = 0; j < s[2]; ++j) {
+          expect_bits_equal(alone.at(0, j), all.at(i, j), t->isa, static_cast<std::size_t>(j));
+        }
+      }
+    }
+  }
+}
+
+// Row-sparse aᵀ·b: tolerance-equivalent across tables, and in each table
+// bit-identical to that table's sequence of per-term axpys over the padded
+// rows (zero terms skipped), which is the per-sample accumulation it
+// replaces. (Padded rows keep the AVX2 axpy on its FMA path throughout; its
+// scalar tail loop does not contract.)
+TEST_F(SimdEquivalence, MatmulAtBAccumSparseMatchesPerTermAxpys) {
+  for (const auto& s : kShapes) {
+    auto a = random_matrix(s[0], s[1], rng_);
+    for (int k = 0; k < s[0]; ++k) {
+      for (int i = 0; i < s[1]; ++i) {
+        if ((k + 2 * i) % 3 == 0) a.at(k, i) = 0.0;  // sparse, some all-zero columns
+      }
+    }
+    const auto b = random_matrix(s[0], s[2], rng_);
+    const auto init = random_matrix(s[1], s[2], rng_);
+    gnn::Matrix ref = init, got = init;
+    sc().matmul_at_b_accum_sparse(a, b, ref);
+    avx2_->matmul_at_b_accum_sparse(a, b, got);
+    expect_matrices(ref, got, /*bit_identical=*/false, "matmul_at_b_accum_sparse");
+    for (const gnn::KernelTable* t : {&sc(), avx2_}) {
+      gnn::Matrix sparse = init, axpys = init;
+      t->matmul_at_b_accum_sparse(a, b, sparse);
+      for (int k = 0; k < s[0]; ++k) {
+        for (int i = 0; i < s[1]; ++i) {
+          if (a.at(k, i) != 0.0) t->axpy(a.at(k, i), b.row(k), axpys.row(i), b.ld);
+        }
+      }
+      expect_matrices(axpys, sparse, /*bit_identical=*/true, t->isa);
+    }
   }
 }
 

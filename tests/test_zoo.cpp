@@ -117,14 +117,16 @@ gnn::GraphSample ring_sample(int nodes = 12, int feature_dim = 6, std::uint64_t 
 }
 
 // One training step so the Adam moments are non-zero. Dropout comes from an
-// explicit seed (the trainer's deterministic overload), so the step depends
-// only on (parameters, moments, sample) — the internal RNG state, which the
-// blob does not carry, stays out of the trajectory.
+// explicit seed (the trainer's slot entry), so the step depends only on
+// (parameters, moments, sample) — the internal RNG state, which the blob
+// does not carry, stays out of the trajectory.
 void take_one_step(gnn::Dgcnn& model, std::uint64_t dropout_seed = 99) {
   const auto s = ring_sample();
-  auto grads = model.make_gradient_buffers();
-  model.accumulate_gradients(s, grads, dropout_seed);
-  model.add_gradients(grads);
+  const gnn::GraphSample* one[] = {&s};
+  const std::uint64_t seeds[] = {dropout_seed};
+  auto slot = model.make_slot_gradients();
+  model.accumulate_gradients(one, slot, seeds);
+  model.merge_gradients({&slot, 1});
   model.adam_step(1);
 }
 

@@ -12,6 +12,10 @@
 //   * each matmul shape three ways: naive oracle, blocked scalar, and the
 //     runtime-dispatched table (gnn::kernels(), which is AVX2 where the
 //     host supports it);
+//   * the DGCNN slot kernels at the shapes a 4-sample slot runs (k = 45,
+//     cat_dim = 97, dense 128×576): matmul_a_bt_bias for the first 1-D conv
+//     and for dense-1, and matmul_at_b_accum for the first conv's weight
+//     gradient, scalar table vs dispatched;
 //   * the element-wise training loops (tanh, Adam) dispatched vs scalar.
 //
 // Everything runs single-threaded on purpose: these are per-core kernel
@@ -191,6 +195,37 @@ int main(int argc, char** argv) {
     abt.dispatch_ns =
         1e9 * time_per_call(min_s, [&](std::size_t) { kn.matmul_a_bt(b_grad, w_fwd, out); });
 
+    // --- DGCNN slot kernels (one 4-sample slot) ----------------------------
+    // Scalar table vs dispatched, at the real c880 shapes: conv-1 is
+    // (4·45 × 97)·(16 × 97)ᵀ + bias, dense-1 (4 × 576)·(128 × 576)ᵀ + bias,
+    // and conv-1's weight gradient gK1 (16 × 97) += (4·45 × 16)ᵀ·(4·45 × 97).
+    struct SlotTimes {
+      double scalar_ns = 0.0;
+      double dispatch_ns = 0.0;
+      double speedup() const { return dispatch_ns > 0.0 ? scalar_ns / dispatch_ns : 0.0; }
+    };
+    const auto time_both = [&](auto&& run) {
+      SlotTimes t;
+      t.scalar_ns = 1e9 * time_per_call(min_s, [&](std::size_t) { run(sc); });
+      t.dispatch_ns = 1e9 * time_per_call(min_s, [&](std::size_t) { run(kn); });
+      return t;
+    };
+    constexpr int kSlotRows = 4 * 45, kCatDim = 97, kCh1 = 16, kDense = 128, kFlat = 576;
+    const gnn::Matrix slot_s = random_matrix(kSlotRows, kCatDim, rng);
+    const gnn::Matrix k1 = random_matrix(kCh1, kCatDim, rng);
+    const gnn::Matrix b1 = random_matrix(1, kCh1, rng);
+    const SlotTimes conv1 = time_both(
+        [&](const gnn::KernelTable& t) { t.matmul_a_bt_bias(slot_s, k1, b1, out); });
+    const gnn::Matrix slot_f = random_matrix(4, kFlat, rng);
+    const gnn::Matrix w5 = random_matrix(kDense, kFlat, rng);
+    const gnn::Matrix b5 = random_matrix(1, kDense, rng);
+    const SlotTimes dense1 = time_both(
+        [&](const gnn::KernelTable& t) { t.matmul_a_bt_bias(slot_f, w5, b5, out); });
+    const gnn::Matrix slot_dc1 = random_matrix(kSlotRows, kCh1, rng);
+    gnn::Matrix gk1(kCh1, kCatDim);
+    const SlotTimes gk1_t = time_both(
+        [&](const gnn::KernelTable& t) { t.matmul_at_b_accum(slot_dc1, slot_s, gk1); });
+
     // --- element-wise training loops, dispatched vs scalar -----------------
     // Sized like a conv activation block (rows x 128). tanh mutates in place,
     // so each call restores the buffer first; the memcpy cost is identical on
@@ -251,6 +286,15 @@ int main(int argc, char** argv) {
     m.add_result("a_bt_speedup", abt.speedup());
     m.add_result("a_bt_dispatch_ns", abt.dispatch_ns);
     m.add_result("a_bt_dispatch_speedup", abt.dispatch_speedup());
+    m.add_result("a_bt_bias_conv1_scalar_ns", conv1.scalar_ns);
+    m.add_result("a_bt_bias_conv1_dispatch_ns", conv1.dispatch_ns);
+    m.add_result("a_bt_bias_conv1_dispatch_speedup", conv1.speedup());
+    m.add_result("a_bt_bias_dense1_scalar_ns", dense1.scalar_ns);
+    m.add_result("a_bt_bias_dense1_dispatch_ns", dense1.dispatch_ns);
+    m.add_result("a_bt_bias_dense1_dispatch_speedup", dense1.speedup());
+    m.add_result("at_b_accum_gk1_scalar_ns", gk1_t.scalar_ns);
+    m.add_result("at_b_accum_gk1_dispatch_ns", gk1_t.dispatch_ns);
+    m.add_result("at_b_accum_gk1_dispatch_speedup", gk1_t.speedup());
     m.add_result("tanh_scalar_ns", 1e9 * tanh_scalar_s);
     m.add_result("tanh_dispatch_ns", 1e9 * tanh_dispatch_s);
     m.add_result("tanh_dispatch_speedup", tanh_speedup);

@@ -5,6 +5,7 @@
 //   report_md --daemon <run1.json> [run2.json ...] [--out table.md]
 //   report_md --fleet <run1.json> [run2.json ...] [--out table.md]
 //   report_md --campaign <campaign.json> [--out table.md]
+//   report_md --layers <run1.json> [run2.json ...] [--out table.md]
 //   report_md --check <run1.json> [run2.json ...]
 //
 // Default mode reads one or more RunManifest JSON files (as written by
@@ -20,7 +21,9 @@
 // backends, DESIGN.md §14). --campaign renders a `muxlink campaign` aggregate
 // manifest as the defense x attack resilience matrix: one row per cell,
 // with a verdict derived from KPA against the 50% +/- 12 chance band (the
-// band the ANT/RNT protocol uses). --check validates the manifests (schema
+// band the ANT/RNT protocol uses). --layers renders the per-layer DGCNN
+// training profile from a manifest's observability block (the
+// `gnn.layer.<layer>.{fwd,bwd}_s` timers, EXPERIMENTS.md). --check validates the manifests (schema
 // tag, provenance
 // fields, stage/result sanity) and prints one OK/FAIL line per file; exit 1
 // if any file fails.
@@ -254,12 +257,48 @@ std::string render_campaign_table(const std::vector<RunManifest>& runs) {
   return md.str();
 }
 
+// Per-layer DGCNN profile: one table per run from the observability block's
+// `gnn.layer.<layer>.{fwd,bwd}_s` histograms (seconds summed over slots,
+// every thread), with each layer's share of the profiled total.
+std::string render_layers_table(const std::vector<RunManifest>& runs) {
+  static const char* const kLayers[] = {"gconv", "sortpool", "conv1", "conv2", "dense1", "dense2"};
+  std::ostringstream md;
+  for (const RunManifest& m : runs) {
+    md << "### " << m.tool << " · " << m.circuit << " · " << m.threads << " threads\n\n";
+    const Json* hist = m.observability.is_object() ? m.observability.find("histograms") : nullptr;
+    const auto seconds = [&](const std::string& name) {
+      const Json* h = hist != nullptr ? hist->find(name) : nullptr;
+      return h != nullptr ? h->number_or("sum", 0.0) : 0.0;
+    };
+    double fwd[std::size(kLayers)], bwd[std::size(kLayers)], fwd_total = 0.0, bwd_total = 0.0;
+    for (std::size_t l = 0; l < std::size(kLayers); ++l) {
+      const std::string base = std::string("gnn.layer.") + kLayers[l];
+      fwd[l] = seconds(base + ".fwd_s");
+      bwd[l] = seconds(base + ".bwd_s");
+      fwd_total += fwd[l];
+      bwd_total += bwd[l];
+    }
+    const double total = fwd_total + bwd_total;
+    if (total <= 0.0) {
+      md << "(no gnn.layer timers: metrics were off or the run trained nothing)\n\n";
+      continue;
+    }
+    md << "| Layer | Forward s | Backward s | Share % |\n|---|---:|---:|---:|\n";
+    for (std::size_t l = 0; l < std::size(kLayers); ++l) {
+      md << "| " << kLayers[l] << " | " << cell(fwd[l], 3) << " | " << cell(bwd[l], 3) << " | "
+         << cell(100.0 * (fwd[l] + bwd[l]) / total, 1) << " |\n";
+    }
+    md << "| total | " << cell(fwd_total, 3) << " | " << cell(bwd_total, 3) << " | 100.0 |\n\n";
+  }
+  return md.str();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const muxlink::tools::CliArgs args(argc - 1, argv + 1);
   try {
-    args.allow_only({"out", "check", "serving", "daemon", "fleet", "campaign"});
+    args.allow_only({"out", "check", "serving", "daemon", "fleet", "campaign", "layers"});
     std::vector<std::string> paths = args.positional();
     // The parser binds "--check run.json" / "--serving run.json" as the
     // flag's value; that token is really the first manifest path.
@@ -268,11 +307,12 @@ int main(int argc, char** argv) {
     if (const auto v = args.get("daemon"); v && !v->empty()) paths.insert(paths.begin(), *v);
     if (const auto v = args.get("fleet"); v && !v->empty()) paths.insert(paths.begin(), *v);
     if (const auto v = args.get("campaign"); v && !v->empty()) paths.insert(paths.begin(), *v);
+    if (const auto v = args.get("layers"); v && !v->empty()) paths.insert(paths.begin(), *v);
     if (paths.empty()) {
       std::cerr << "usage: report_md <run.json>... [--out F]  |  report_md --check <run.json>...\n"
                    "       report_md --serving <run.json>...  |  report_md --daemon "
                    "<run.json>...  |  report_md --fleet <run.json>...  |  report_md "
-                   "--campaign <campaign.json>...\n";
+                   "--campaign <campaign.json>...  |  report_md --layers <run.json>...\n";
       return 1;
     }
     if (args.has("check")) {
@@ -295,6 +335,7 @@ int main(int argc, char** argv) {
                            : args.has("serving") ? render_serving_table(runs)
                            : args.has("daemon")  ? render_daemon_table(runs)
                            : args.has("fleet")   ? render_fleet_table(runs)
+                           : args.has("layers")  ? render_layers_table(runs)
                                                  : render_table(runs);
     if (const auto out = args.get("out")) {
       std::ofstream os(*out);
