@@ -74,10 +74,11 @@ struct LayerTimers {
 
 // Per-thread slot scratch. A slot's samples are stacked row-wise in the
 // slot-wide tensors (sample i owns rows [i*k, (i+1)*k) of s, c1 and dc1, row
-// i of f and hid, and so on), so each 1-D conv and dense layer is one matmul. Only forward activations exist per sample; backward
-// runs the samples one after another through one set of buffers. Every
-// tensor is resized (capacity-reusing), never reallocated, so the steady
-// state is allocation-free.
+// i of f and hid, and so on), so each 1-D conv and dense layer is one
+// matmul. Only forward activations exist per sample; backward runs the
+// samples one after another through one set of buffers. Every tensor is
+// resized (capacity-reusing), never reallocated, so the steady state is
+// allocation-free.
 struct Dgcnn::Workspace {
   struct Sample {
     std::vector<Matrix> u;   // per conv layer: P * Z_{l-1}
@@ -467,7 +468,7 @@ double Dgcnn::accumulate_gradients(std::span<const GraphSample* const> samples,
 
 namespace {
 
-// Elements per pool task of the element-wise optimizer passes.
+// Target elements per pool task of the row-wise optimizer passes.
 constexpr std::size_t kUpdateBlock = 4096;
 
 // Calls fn(tensor, row_begin, row_end) over every tensor in blocks of whole
@@ -488,7 +489,9 @@ void for_each_block(const std::vector<Matrix>& tensors, Fn&& fn) {
     }
   }
   common::parallel_for(blocks.size(), 1, [&](std::size_t first, std::size_t last, std::size_t) {
-    for (std::size_t i = first; i < last; ++i) fn(blocks[i].tensor, blocks[i].row_begin, blocks[i].row_end);
+    for (std::size_t i = first; i < last; ++i) {
+      fn(blocks[i].tensor, blocks[i].row_begin, blocks[i].row_end);
+    }
   });
 }
 

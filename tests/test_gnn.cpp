@@ -507,7 +507,8 @@ struct Reference {
     Matrix dc1(k, ch1);
     for (int t = 0; t < pooled; ++t) {
       for (int c = 0; c < ch1; ++c) {
-        if (dm.at(t, c) != 0.0) dc1.at(argmax[static_cast<std::size_t>(t) * ch1 + c], c) += dm.at(t, c);
+        const int src = argmax[static_cast<std::size_t>(t) * ch1 + c];
+        if (dm.at(t, c) != 0.0) dc1.at(src, c) += dm.at(t, c);
       }
     }
     Matrix ds(k, cat);
