@@ -91,9 +91,15 @@ run_docs() {
       || { echo "manifest missing key: $key" >&2; rm -rf "$d"; return 1; }
   done
   [ -s "$d/epochs.jsonl" ] || { echo "telemetry stream empty" >&2; rm -rf "$d"; return 1; }
+  # The UNTANGLE front-end reports through the same job runner.
+  "$cli" untangle "$d/locked.bench" --epochs 3 --links 300 --seed 1 \
+    --truth-key "$d/key.txt" --orig "$d/c432.bench" --patterns 2000 \
+    --scheme dmux --report "$d/untangle.json"
+  grep -q '"routing_queries"' "$d/untangle.json" \
+    || { echo "untangle manifest missing routing_queries" >&2; rm -rf "$d"; return 1; }
 
-  # Validate the fresh manifest plus every committed one.
-  build/tools/report_md --check "$d/run.json" manifests/*.json \
+  # Validate the fresh manifests plus every committed one.
+  build/tools/report_md --check "$d/run.json" "$d/untangle.json" manifests/*.json \
     manifests/campaign/*.json \
     BENCH_pipeline.json BENCH_kernels.json BENCH_serving.json BENCH_daemon.json \
     BENCH_fleet.json

@@ -31,8 +31,9 @@ void DaemonClient::ensure_connected() {
     }
   }
   // Version negotiation before anything else (DESIGN.md §13), plus the
-  // §14 capability offer. The server echoes the intersection; a PR 9
-  // server echoes nothing and the connection runs as a plain v1 peer.
+  // capability offer (always both caps). The server echoes the
+  // intersection; a PR 9 server echoes nothing, and cap-gated calls on that
+  // connection fail with DaemonError.
   cap_wait_result_ = false;
   cap_forwarded_ = false;
   try {
@@ -40,12 +41,10 @@ void DaemonClient::ensure_connected() {
     common::Json versions = common::Json::array();
     versions.push_back(static_cast<int>(kProtocolVersion));
     hello["versions"] = std::move(versions);
-    if (opts_.offer_caps) {
-      common::Json caps = common::Json::array();
-      caps.push_back(common::Json(kCapWaitResult));
-      caps.push_back(common::Json(kCapForwarded));
-      hello["caps"] = std::move(caps);
-    }
+    common::Json caps = common::Json::array();
+    caps.push_back(common::Json(kCapWaitResult));
+    caps.push_back(common::Json(kCapForwarded));
+    hello["caps"] = std::move(caps);
     const common::Json reply = roundtrip(MsgType::kHello, MsgType::kHelloOk, hello);
     if (const common::Json* caps = reply.find("caps"); caps && caps->is_array()) {
       for (std::size_t i = 0; i < caps->size(); ++i) {
@@ -173,25 +172,14 @@ bool DaemonClient::has_cap(std::string_view name) {
   return false;
 }
 
-common::Json DaemonClient::wait_for_result(const std::string& job_id, int poll_interval_ms) {
-  ensure_connected();
-  if (cap_wait_result_) {
-    // Long-poll: the server parks the request until the job is terminal or
-    // its per-request cap expires, so the poll-cadence latency of the PR 9
-    // loop disappears. A non-terminal reply just means "ask again".
-    for (;;) {
-      const common::Json reply = wait_result(job_id, 0 /* server cap */);
-      const std::string state = reply.string_or("state", "");
-      if (state != "QUEUED" && state != "RUNNING") return reply;
-    }
-  }
+common::Json DaemonClient::wait_for_result(const std::string& job_id) {
+  // The server parks each request until the job is terminal or its
+  // per-request cap expires; a non-terminal reply just means "ask again".
   for (;;) {
-    const common::Json st = status(job_id);
-    const std::string state = st.string_or("state", "");
-    if (state != "QUEUED" && state != "RUNNING") break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(std::max(1, poll_interval_ms)));
+    common::Json reply = wait_result(job_id, 0 /* server cap */);
+    const std::string state = reply.string_or("state", "");
+    if (state != "QUEUED" && state != "RUNNING") return reply;
   }
-  return result(job_id);
 }
 
 }  // namespace muxlink::daemon

@@ -23,9 +23,6 @@ struct ClientOptions {
   double retry_backoff = 2.0;  // 50, 100, 200, 400 ms between attempts
   int io_timeout_ms = 0;       // per-reply wait (0 = block; jobs can run minutes)
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  // Capabilities offered in HELLO (DESIGN.md §14); false emulates a PR 9
-  // v1 peer, which servers must keep serving via plain RESULT polling.
-  bool offer_caps = true;
 };
 
 class DaemonClient {
@@ -54,9 +51,9 @@ class DaemonClient {
   common::Json wait_result(const std::string& job_id, long timeout_ms);
 
   // Blocks until the job reaches a terminal state and returns the result
-  // reply. Uses WAIT_RESULT long-polls when the connection negotiated the
-  // cap, else falls back to the PR 9 status-poll cadence.
-  common::Json wait_for_result(const std::string& job_id, int poll_interval_ms = 100);
+  // reply, re-issuing WAIT_RESULT long-polls (requires the `wait_result`
+  // cap; DaemonError otherwise).
+  common::Json wait_for_result(const std::string& job_id);
 
   // True when the connected daemon negotiated `name` in HELLO (connects
   // lazily if needed).

@@ -1,6 +1,7 @@
 #include "muxlink/job.h"
 
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <random>
 #include <set>
@@ -39,31 +40,10 @@ std::vector<std::uint8_t> parse_truth_bits(const std::string& text) {
   return bits;
 }
 
-}  // namespace
-
-std::string render_key(const std::vector<locking::KeyBit>& key) {
-  std::string s;
-  s.reserve(key.size());
-  for (locking::KeyBit b : key) s.push_back(locking::to_char(b));
-  return s;
-}
-
-std::vector<locking::KeyBit> parse_key(const std::string& text) {
-  std::vector<locking::KeyBit> key;
-  key.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '0': key.push_back(locking::KeyBit::kZero); break;
-      case '1': key.push_back(locking::KeyBit::kOne); break;
-      case 'X': key.push_back(locking::KeyBit::kUnknown); break;
-      default:
-        throw std::invalid_argument(std::string("deciphered key: unexpected character '") + c +
-                                    "' (expected 0/1/X)");
-    }
-  }
-  return key;
-}
-
+// Average HD% between `orig` and `recovered` following the paper's Fig. 8
+// protocol: undeciphered key bits leave free `keyinput*` inputs in
+// `recovered`; the HD is averaged over completions of those bits
+// (enumerated up to 2^4, sampled beyond).
 double recovered_hd_percent(const netlist::Netlist& orig, const netlist::Netlist& recovered,
                             std::size_t patterns, std::uint64_t seed) {
   sim::HammingOptions hopts;
@@ -91,6 +71,31 @@ double recovered_hd_percent(const netlist::Netlist& orig, const netlist::Netlist
     sum += sim::hamming_distance_percent(orig, recovered, hopts);
   }
   return sum / static_cast<double>(completions);
+}
+
+}  // namespace
+
+std::string render_key(const std::vector<locking::KeyBit>& key) {
+  std::string s;
+  s.reserve(key.size());
+  for (locking::KeyBit b : key) s.push_back(locking::to_char(b));
+  return s;
+}
+
+std::vector<locking::KeyBit> parse_key(const std::string& text) {
+  std::vector<locking::KeyBit> key;
+  key.reserve(text.size());
+  for (char c : text) {
+    switch (c) {
+      case '0': key.push_back(locking::KeyBit::kZero); break;
+      case '1': key.push_back(locking::KeyBit::kOne); break;
+      case 'X': key.push_back(locking::KeyBit::kUnknown); break;
+      default:
+        throw std::invalid_argument(std::string("deciphered key: unexpected character '") + c +
+                                    "' (expected 0/1/X)");
+    }
+  }
+  return key;
 }
 
 common::Json AttackJobSpec::to_json() const {
@@ -137,6 +142,19 @@ AttackJobSpec AttackJobSpec::from_json(const common::Json& j) {
     if (!v->is_number()) throw std::invalid_argument(std::string("job spec: '") + key + "' must be a number");
     return v->as_double();
   };
+  // Counts and budgets must arrive as JSON integers within range: a double
+  // or a negative value would otherwise wrap or truncate in the cast.
+  auto integer = [&](const char* key, std::int64_t fallback, std::int64_t lo, std::int64_t hi) {
+    const common::Json* v = j.find(key);
+    if (!v) return fallback;
+    if (!v->is_int() || v->as_int() < lo || v->as_int() > hi) {
+      throw std::invalid_argument(std::string("job spec: '") + key + "' must be an integer in [" +
+                                  std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+    return v->as_int();
+  };
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::int64_t kCountMax = std::numeric_limits<std::int64_t>::max();
   auto boolean = [&](const char* key, bool fallback) {
     const common::Json* v = j.find(key);
     if (!v) return fallback;
@@ -150,12 +168,12 @@ AttackJobSpec AttackJobSpec::from_json(const common::Json& j) {
   spec.circuit = str("circuit", spec.circuit);
   spec.bench = str("bench", spec.bench);
   if (spec.bench.empty()) throw std::invalid_argument("job spec: 'bench' must hold BENCH text");
-  spec.hops = static_cast<int>(num("hops", spec.hops));
+  spec.hops = static_cast<int>(integer("hops", spec.hops, 1, kIntMax));
   spec.threshold = num("threshold", spec.threshold);
-  spec.epochs = static_cast<int>(num("epochs", spec.epochs));
+  spec.epochs = static_cast<int>(integer("epochs", spec.epochs, 1, kIntMax));
   spec.learning_rate = num("learning_rate", spec.learning_rate);
-  spec.max_train_links =
-      static_cast<std::size_t>(num("max_train_links", static_cast<double>(spec.max_train_links)));
+  spec.max_train_links = static_cast<std::size_t>(
+      integer("max_train_links", static_cast<std::int64_t>(spec.max_train_links), 0, kCountMax));
   spec.seed = static_cast<std::uint64_t>(j.int_or("seed", static_cast<std::int64_t>(spec.seed)));
   spec.scheme = str("scheme", spec.scheme);
   spec.use_zoo = boolean("use_zoo", spec.use_zoo);
@@ -163,24 +181,15 @@ AttackJobSpec AttackJobSpec::from_json(const common::Json& j) {
   spec.score_cache = boolean("score_cache", spec.score_cache);
   spec.truth_key = str("truth_key", spec.truth_key);
   spec.orig_bench = str("orig_bench", spec.orig_bench);
-  spec.hd_patterns = static_cast<std::size_t>(num("hd_patterns", static_cast<double>(spec.hd_patterns)));
+  spec.hd_patterns = static_cast<std::size_t>(
+      integer("hd_patterns", static_cast<std::int64_t>(spec.hd_patterns), 0, kCountMax));
   spec.timeout_seconds = num("timeout_seconds", spec.timeout_seconds);
-  if (spec.hops < 1 || spec.epochs < 1) {
-    throw std::invalid_argument("job spec: hops and epochs must be >= 1");
-  }
   return spec;
 }
 
-AttackJobOutcome run_attack_job(const AttackJobSpec& spec) {
-  const auto t0 = std::chrono::steady_clock::now();
+MuxLinkOptions job_options(const AttackJobSpec& spec) {
   validate_attack_name(spec.attack);
-  // The scheme label is folded into zoo keys; an unknown name would
-  // silently shard the registry (same rule as the CLI front-ends).
   if (!spec.scheme.empty()) locking::resolve_scheme(spec.scheme);
-
-  const netlist::Netlist locked =
-      netlist::parse_bench(spec.bench, spec.circuit.empty() ? "job" : spec.circuit);
-
   MuxLinkOptions opts;
   opts.hops = spec.hops;
   opts.threshold = spec.threshold;
@@ -192,25 +201,48 @@ AttackJobOutcome run_attack_job(const AttackJobSpec& spec) {
   opts.use_zoo = spec.use_zoo;
   opts.zoo_dir = spec.zoo_dir;
   opts.score_cache = spec.score_cache;
+  return opts;
+}
 
+AttackJobOutcome run_attack_job(const AttackJobSpec& spec) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const MuxLinkOptions opts = job_options(spec);
+  const netlist::Netlist locked =
+      netlist::parse_bench(spec.bench, spec.circuit.empty() ? "job" : spec.circuit);
+  AttackJobOutcome out = run_attack_job(locked, spec, opts);
+  out.total_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  return out;
+}
+
+AttackJobOutcome run_attack_job(const netlist::Netlist& locked, const AttackJobSpec& spec,
+                                const MuxLinkOptions& opts) {
+  const auto t0 = std::chrono::steady_clock::now();
   AttackJobOutcome out;
   double best_val = 0.0;
   std::size_t training_links = 0, target_links = 0, routing_queries = 0;
+  // Both front-ends report the same figures from their own result type.
+  auto take = [&](auto& r) {
+    out.key = std::move(r.key);
+    best_val = r.training.best_val_accuracy;
+    training_links = r.training_links;
+    target_links = r.target_links;
+    out.sample_seconds = r.sample_seconds;
+    out.train_seconds = r.train_seconds;
+    out.score_seconds = r.score_seconds;
+    out.threads = r.threads;
+    out.sortpool_k = r.sortpool_k;
+    out.feature_dim = r.feature_dim;
+    out.rollbacks = r.training.rollbacks;
+    out.resumed_from_epoch = r.training.resumed_from_epoch;
+    out.serving = std::move(r.serving);
+  };
   if (spec.attack == "muxlink") {
-    MuxLinkAttack attack(opts);
-    const MuxLinkResult r = attack.run(locked);
-    out.key = r.key;
-    best_val = r.training.best_val_accuracy;
-    training_links = r.training_links;
-    target_links = r.target_links;
+    MuxLinkResult r = MuxLinkAttack(opts).run(locked);
+    take(r);
   } else {
-    UntangleAttack attack(opts);
-    const UntangleResult r = attack.run(locked);
-    out.key = r.key;
-    best_val = r.training.best_val_accuracy;
-    training_links = r.training_links;
-    target_links = r.target_links;
+    UntangleResult r = UntangleAttack(opts).run(locked);
     routing_queries = r.queries.size();
+    take(r);
   }
   out.key_string = render_key(out.key);
 

@@ -1,15 +1,19 @@
 // Library-level attack jobs: one self-contained description of an attack
-// run (netlist text + every knob that affects its result) and a runner that
-// produces a DETERMINISTIC muxlink.run/v1 manifest from it.
+// run (netlist text + every knob that affects its result) and the runner
+// that performs and scores it, producing a DETERMINISTIC muxlink.run/v1
+// manifest.
 //
-// This is the unit of work `muxlinkd` schedules (DESIGN.md §13) and the
-// contract behind the daemon acceptance test: the same AttackJobSpec run
-// through the daemon at any worker count, through `muxlink submit`, or
-// through one-shot `muxlink attack --deterministic` writes byte-identical
-// manifest JSON. To make that possible the deterministic manifest carries
-// only scheduling-invariant data — no stage wall times, no observability
-// snapshot, no serving/cache statistics, no CPU info — and pins threads to
-// 1 (the attack itself is bit-identical at any thread count, DESIGN.md §5).
+// This is the only place an attack is run and scored. It is the unit of
+// work `muxlinkd` schedules (DESIGN.md §13), and the contract behind the
+// daemon acceptance test: the same AttackJobSpec run through the daemon at
+// any worker count, through `muxlink submit`, or through one-shot `muxlink
+// attack --deterministic` writes byte-identical manifest JSON. To make that
+// possible the deterministic manifest carries only scheduling-invariant data
+// — no stage wall times, no observability snapshot, no serving/cache
+// statistics, no CPU info — and pins threads to 1 (the attack itself is
+// bit-identical at any thread count, DESIGN.md §5). Plain `muxlink attack`
+// and `muxlink untangle` run the same runner and write a superset of that
+// manifest: the observational figures of AttackJobOutcome on top.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +22,7 @@
 
 #include "common/json.h"
 #include "locking/resolve.h"
+#include "muxlink/attack.h"
 #include "netlist/netlist.h"
 
 namespace muxlink::core {
@@ -60,8 +65,9 @@ struct AttackJobSpec {
   double timeout_seconds = 0.0;
 
   common::Json to_json() const;
-  // Throws std::invalid_argument on unknown attack names, unknown keys, or
-  // type-mismatched fields.
+  // Throws std::invalid_argument on unknown attack names, unknown keys,
+  // type-mismatched fields, or counts (hops, epochs, max_train_links,
+  // hd_patterns) that are not in-range JSON integers.
   static AttackJobSpec from_json(const common::Json& j);
 };
 
@@ -69,15 +75,40 @@ struct AttackJobOutcome {
   common::Json manifest;             // deterministic muxlink.run/v1 document
   std::vector<locking::KeyBit> key;  // deciphered key, indexed by key bit
   std::string key_string;            // same, rendered 0/1/X
-  double total_seconds = 0.0;        // wall time (NOT in the manifest)
+
+  // Observational figures of the run. None of them enter the manifest: they
+  // vary with scheduling, thread count and what the zoo already holds.
+  double sample_seconds = 0.0;
+  double train_seconds = 0.0;
+  double score_seconds = 0.0;
+  double total_seconds = 0.0;  // wall time of the whole job
+  int threads = 1;             // pool size the attack used
+  int sortpool_k = 0;
+  int feature_dim = 0;
+  int rollbacks = 0;           // divergence rollbacks during training
+  int resumed_from_epoch = 0;  // > 0 when training resumed from a checkpoint
+  ServingStats serving;
 };
 
-// Runs the job on the calling thread (inner stages use the global pool).
-// Throws netlist::NetlistError on BENCH/trace failures and
-// std::invalid_argument on spec-level mistakes (bad scheme label,
-// truth-key length mismatch). Fault site `daemon.job` fires between the
-// attack finishing and the manifest being assembled — arming it with `kill`
-// simulates a daemon dying mid-job (DESIGN.md §8/§13).
+// The engine options a job spec stands for. Throws std::invalid_argument on
+// an unknown attack name or scheme label (the label is folded into zoo keys,
+// so an unknown name would silently shard the registry).
+MuxLinkOptions job_options(const AttackJobSpec& spec);
+
+// Runs `spec.attack` on the already-parsed `locked` netlist with `opts` (the
+// spec's own options plus any run-local ones: telemetry, checkpoints,
+// warm start, model output), then scores the key against `spec.truth_key`
+// and `spec.orig_bench`. `spec.bench` is not read. Runs on the calling
+// thread (inner stages use the global pool). Throws std::invalid_argument
+// on a truth-key length mismatch and netlist::NetlistError on trace
+// failures. Fault site `daemon.job` fires between the attack finishing and
+// the manifest being assembled; arming it with `kill` simulates a daemon
+// dying mid-job (DESIGN.md §8/§13).
+AttackJobOutcome run_attack_job(const netlist::Netlist& locked, const AttackJobSpec& spec,
+                                const MuxLinkOptions& opts);
+
+// The self-contained job: parses `spec.bench` and runs it with
+// job_options(spec). Also throws netlist::NetlistError on BENCH failures.
 AttackJobOutcome run_attack_job(const AttackJobSpec& spec);
 
 // Renders a deciphered key as the 0/1/X string used everywhere.
@@ -87,13 +118,5 @@ std::string render_key(const std::vector<locking::KeyBit>& key);
 // "key" replies and manifest "deciphered_key" fields) back into key bits.
 // Throws std::invalid_argument on any other character.
 std::vector<locking::KeyBit> parse_key(const std::string& text);
-
-// Average HD% between `orig` and `recovered` following the paper's Fig. 8
-// protocol: undeciphered key bits leave free `keyinput*` inputs in
-// `recovered`; the HD is averaged over completions of those bits
-// (enumerated up to 2^4, sampled beyond). Shared by the CLI front-ends and
-// the job runner.
-double recovered_hd_percent(const netlist::Netlist& orig, const netlist::Netlist& recovered,
-                            std::size_t patterns, std::uint64_t seed);
 
 }  // namespace muxlink::core

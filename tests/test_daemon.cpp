@@ -201,6 +201,30 @@ TEST(JobSpec, RejectsUnknownKeysAttacksAndTypes) {
   common::Json bad_type = spec.to_json();
   bad_type["epochs"] = "thirty";
   EXPECT_THROW(core::AttackJobSpec::from_json(bad_type), std::invalid_argument);
+
+  // Counts must be in-range JSON integers: a cast would wrap negatives to
+  // huge sizes, truncate fractions, or overflow on 1e300.
+  const std::vector<std::pair<const char*, common::Json>> bad_counts = {
+      {"hd_patterns", common::Json(-5)},     {"max_train_links", common::Json(-1)},
+      {"epochs", common::Json(2.7)},         {"epochs", common::Json(2.0)},
+      {"hops", common::Json(1e300)},         {"hops", common::Json(0)},
+      {"epochs", common::Json(0)},           {"hops", common::Json(std::int64_t{1} << 40)},
+      {"max_train_links", common::Json(1e3)}};
+  for (const auto& [key, value] : bad_counts) {
+    common::Json bad = spec.to_json();
+    bad[key] = value;
+    EXPECT_THROW(core::AttackJobSpec::from_json(bad), std::invalid_argument)
+        << key << " = " << value.dump();
+  }
+  // The same checks read the wire text, where these values arrive parsed.
+  EXPECT_THROW(core::AttackJobSpec::from_json(common::Json::parse(
+                   R"j({"bench":"INPUT(a)","hd_patterns":-5})j")),
+               std::invalid_argument);
+  const core::AttackJobSpec edge = core::AttackJobSpec::from_json(common::Json::parse(
+      R"j({"bench":"INPUT(a)","hops":1,"epochs":1,"max_train_links":0,"hd_patterns":0})j"));
+  EXPECT_EQ(edge.hops, 1);
+  EXPECT_EQ(edge.max_train_links, 0u);
+  EXPECT_EQ(edge.hd_patterns, 0u);
 }
 
 // --- results spool retention + recovery (DESIGN.md §14) --------------------
@@ -466,7 +490,7 @@ TEST_F(DaemonE2E, ManifestsAreByteIdenticalAtAnyWorkerCount) {
           mine.emplace_back(i, client.submit(specs[i]));
         }
         for (const auto& [i, id] : mine) {
-          const common::Json reply = client.wait_for_result(id, 10);
+          const common::Json reply = client.wait_for_result(id);
           ASSERT_EQ(reply.string_or("state", ""), "DONE") << "workers=" << workers;
           manifests[i] = reply.at("manifest").dump_pretty();
         }
@@ -730,40 +754,52 @@ TEST_F(DaemonE2E, V1PeerWithoutCapsIsServedByPollingAndRefusedNewMessages) {
   DaemonServer server(dopts);
   server.start();
 
-  // A PR 9 peer offers no caps: plain SUBMIT + RESULT polling still work.
-  ClientOptions copts = client_options("unix:" + dopts.socket_path);
-  copts.offer_caps = false;
-  DaemonClient v1(std::move(copts));
-  EXPECT_FALSE(v1.has_cap("wait_result"));
-  EXPECT_FALSE(v1.has_cap("forwarded"));
-  const std::string id = v1.submit(small_job(1));
-  const common::Json reply = v1.wait_for_result(id);
+  // A PR 9 peer, hand-rolled from protocol.h frames: HELLO without caps,
+  // plain SUBMIT, then RESULT polling until the job is terminal.
+  const int fd = connect_to(parse_address("unix:" + dopts.socket_path));
+  auto roundtrip = [&](MsgType type, const std::string& payload) {
+    write_frame(fd, type, payload);
+    auto reply = read_frame(fd, kDefaultMaxFrameBytes, 60000);
+    EXPECT_TRUE(reply.has_value()) << type_name(type);
+    return reply.value_or(Frame{MsgType::kError, "{}"});
+  };
+  const Frame hello = roundtrip(MsgType::kHello, "{\"versions\":[1]}");
+  ASSERT_EQ(hello.type, MsgType::kHelloOk);
+  // HELLO_OK without offered caps must not echo a caps list.
+  EXPECT_FALSE(parse_payload(hello).contains("caps"));
+
+  const Frame submitted = roundtrip(MsgType::kSubmit, small_job(1).to_json().dump());
+  ASSERT_EQ(submitted.type, MsgType::kSubmitOk);
+  const std::string id = parse_payload(submitted).string_or("job_id", "");
+  ASSERT_FALSE(id.empty());
+  const std::string job_payload = "{\"job_id\":\"" + id + "\"}";
+  common::Json reply;
+  for (;;) {
+    const Frame polled = roundtrip(MsgType::kResult, job_payload);
+    ASSERT_EQ(polled.type, MsgType::kResultOk);
+    reply = parse_payload(polled);
+    const std::string state = reply.string_or("state", "");
+    if (state != "QUEUED" && state != "RUNNING") break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   ASSERT_EQ(reply.string_or("state", ""), "DONE");
   const auto direct = core::run_attack_job(small_job(1));
   EXPECT_EQ(reply.at("manifest").dump_pretty(), direct.manifest.dump_pretty());
 
-  // The client-side guard refuses cap-gated calls without negotiation...
-  EXPECT_THROW(v1.wait_result(id, 10), DaemonError);
-  EXPECT_THROW(v1.submit_forwarded(small_job(1), common::Json::object()), DaemonError);
-
-  // ...and the server refuses them on the wire too (a hand-rolled peer that
-  // skipped negotiation gets BAD_REQUEST, not silence).
-  {
-    const int fd = connect_to(parse_address("unix:" + dopts.socket_path));
-    write_frame(fd, MsgType::kHello, "{\"versions\":[1]}");
-    const auto hello = read_frame(fd, kDefaultMaxFrameBytes, 5000);
-    ASSERT_TRUE(hello.has_value());
-    ASSERT_EQ(hello->type, MsgType::kHelloOk);
-    // HELLO_OK without offered caps must not echo a caps list.
-    EXPECT_FALSE(parse_payload(*hello).contains("caps"));
-    write_frame(fd, MsgType::kWaitResult, "{\"job_id\":\"" + id + "\",\"timeout_ms\":1}");
-    const auto err = read_frame(fd, kDefaultMaxFrameBytes, 5000);
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->type, MsgType::kError);
-    EXPECT_EQ(parse_payload(*err).int_or("code", 0),
-              static_cast<int>(ErrorCode::kBadRequest));
-    ::close(fd);
-  }
+  // The server refuses the cap-gated messages on this connection: a peer
+  // that skipped negotiation gets BAD_REQUEST, not silence.
+  const Frame waited =
+      roundtrip(MsgType::kWaitResult, "{\"job_id\":\"" + id + "\",\"timeout_ms\":1}");
+  EXPECT_EQ(waited.type, MsgType::kError);
+  EXPECT_EQ(parse_payload(waited).int_or("code", 0), static_cast<int>(ErrorCode::kBadRequest));
+  common::Json envelope = common::Json::object();
+  envelope["spec"] = small_job(1).to_json();
+  envelope["forwarded"] = common::Json::object();
+  const Frame forwarded = roundtrip(MsgType::kSubmit, envelope.dump());
+  EXPECT_EQ(forwarded.type, MsgType::kError);
+  EXPECT_EQ(parse_payload(forwarded).int_or("code", 0),
+            static_cast<int>(ErrorCode::kBadRequest));
+  ::close(fd);
   server.stop();
 }
 

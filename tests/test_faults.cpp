@@ -23,6 +23,7 @@
 #include "common/atomic_file.h"
 #include "common/crc32.h"
 #include "common/fault.h"
+#include "common/json.h"
 #include "gnn/checkpoint.h"
 #include "gnn/dgcnn.h"
 #include "gnn/trainer.h"
@@ -528,6 +529,50 @@ TEST_F(FaultsTest, CliRejectsCorruptModelFilesWithExitCode4) {
   const std::string blob = read_file(entry);
   write_file(entry, blob.substr(0, blob.size() / 2));
   EXPECT_EQ(run_cli("zoo info " + entry.stem().string() + " --zoo-dir " + d + "/zoo"), 4);
+}
+
+// --- one attack runner behind every CLI report -------------------------------
+
+// Plain `attack`/`untangle` and their --deterministic variants run through
+// the same job runner, so they score the same key the same way; the plain
+// report only adds the run's observational figures.
+TEST_F(FaultsTest, CliReportIsTheDeterministicManifestPlusObservations) {
+  const std::string d = dir_.string();
+  ASSERT_EQ(run_cli("gen c432 --out " + d + "/c.bench"), 0);
+  ASSERT_EQ(run_cli("lock " + d + "/c.bench --scheme dmux --key-bits 8 --seed 3 --out " + d +
+                    "/l.bench --key-out " + d + "/k.txt"),
+            0);
+  for (const std::string attack : {"attack", "untangle"}) {
+    SCOPED_TRACE(attack);
+    const std::string cmd = attack + " " + d + "/l.bench --epochs 2 --links 120 --seed 1 " +
+                            "--scheme dmux --truth-key " + d + "/k.txt --orig " + d +
+                            "/c.bench --patterns 256 --threads 2 --report " + d + "/";
+    ASSERT_EQ(run_cli(cmd + "plain.json"), 0);
+    ASSERT_EQ(run_cli(cmd + "det.json --deterministic"), 0);
+    const common::Json plain = common::Json::parse(read_file(d + "/plain.json"));
+    const common::Json det = common::Json::parse(read_file(d + "/det.json"));
+
+    for (const char* key : {"results", "tool", "circuit", "scheme", "seed", "key_bits"}) {
+      ASSERT_TRUE(det.contains(key)) << key;
+      EXPECT_EQ(plain.at(key), det.at(key)) << key;
+    }
+    EXPECT_EQ(plain.at("extra").at("deciphered_key"), det.at("extra").at("deciphered_key"));
+    EXPECT_TRUE(det.at("results").contains("kpa_percent"));
+    EXPECT_TRUE(det.at("results").contains("hd_percent"));
+    EXPECT_EQ(det.at("results").contains("routing_queries"), attack == "untangle");
+
+    // Observational fields live in the plain report only.
+    for (const char* stage : {"sample", "train", "score", "total"}) {
+      EXPECT_TRUE(plain.at("stages").contains(stage)) << stage;
+    }
+    EXPECT_TRUE(det.at("stages").members().empty());
+    EXPECT_TRUE(plain.contains("observability"));
+    EXPECT_FALSE(det.contains("observability"));
+    EXPECT_EQ(plain.at("threads").as_int(), 2);
+    EXPECT_EQ(det.at("threads").as_int(), 1);
+    EXPECT_TRUE(plain.at("extra").contains("sortpool_k"));
+    EXPECT_FALSE(det.at("extra").contains("sortpool_k"));
+  }
 }
 
 }  // namespace

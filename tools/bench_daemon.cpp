@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
           mine.emplace_back(i, client.submit(specs[i]));
         }
         for (const auto& [i, job_id] : mine) {
-          const common::Json reply = client.wait_for_result(job_id, 10);
+          const common::Json reply = client.wait_for_result(job_id);
           if (const common::Json* manifest = reply.find("manifest")) {
             concurrent[i] = manifest->dump_pretty();
           }

@@ -50,11 +50,8 @@
 #include <cctype>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <random>
 
 #include "attacks/constprop.h"
-#include "attacks/metrics.h"
 #include "attacks/saam.h"
 #include "common/cpu_features.h"
 #include "common/run_manifest.h"
@@ -69,7 +66,6 @@
 #include "locking/schemes.h"
 #include "muxlink/attack.h"
 #include "muxlink/job.h"
-#include "muxlink/untangle.h"
 #include "netlist/analysis.h"
 #include "netlist/bench_io.h"
 #include "netlist/verilog_io.h"
@@ -114,8 +110,8 @@ commands:
   attack <locked.bench> [--hops H] [--th T]    run the MuxLink attack
        [--epochs E] [--lr L] [--links N] [--seed S]
        [--key-out F] [--recover F] [--threads N]
-       [--report F]      write a muxlink.run/v1 JSON manifest (stage timings,
-                         metrics snapshot, results) to F
+       [--report F]      write the job's muxlink.run/v1 manifest plus stage
+                         timings, metrics snapshot and serving figures to F
        [--telemetry F]   stream per-epoch training telemetry (loss, AUC,
                          grad norm) to F as JSONL
        [--truth-key V]   ground-truth key (file or literal bitstring):
@@ -144,10 +140,10 @@ commands:
        [--warm-epochs N] fine-tuning epoch budget (default epochs/4, min 1)
        [--warm-lr-scale X]  fine-tuning LR = --lr * X (default 0.1)
        [--no-score-cache]   disable the per-link score cache
-       [--deterministic] run through the shared job runner and emit the
-                         DETERMINISTIC manifest variant (no stage timings,
-                         no metrics snapshot; byte-identical to the same
-                         job run through muxlinkd at any worker count)
+       [--deterministic] run the self-contained job spec and --report only
+                         the DETERMINISTIC manifest (no stage timings, no
+                         metrics snapshot; byte-identical to the same job
+                         run through muxlinkd at any worker count)
   untangle <locked.bench>                      UNTANGLE-style routing-query
        [--hops H] [--epochs E] [--lr L] ...    mode: per-tree argmax commit,
                                                never abstains; shares the
@@ -247,12 +243,6 @@ int cmd_lock(const CliArgs& args) {
   return 0;
 }
 
-std::string render_key(const std::vector<locking::KeyBit>& key) {
-  std::string s;
-  for (locking::KeyBit b : key) s.push_back(locking::to_char(b));
-  return s;
-}
-
 // --truth-key accepts either a file holding the bitstring or the bitstring
 // itself.
 std::vector<std::uint8_t> read_truth_key(const std::string& value) {
@@ -274,47 +264,14 @@ std::vector<std::uint8_t> read_truth_key(const std::string& value) {
   return bits;
 }
 
-// HD between the original design and the recovered one. Undeciphered key
-// bits leave their key inputs free in `recovered`; following the paper's
-// Fig. 8 protocol, the HD is averaged over completions of those bits
-// (enumerated up to 2^4, sampled beyond that).
-double report_hd_percent(const netlist::Netlist& orig, const netlist::Netlist& recovered,
-                         std::size_t patterns, std::uint64_t seed) {
-  sim::HammingOptions hopts;
-  hopts.num_patterns = patterns;
-  // The undecided key inputs are whatever inputs the recovered design has
-  // beyond the original's (find_key_inputs needs contiguous indices, which
-  // a partially recovered design no longer has).
-  std::vector<std::string> free_keys;
-  for (netlist::GateId g : recovered.inputs()) {
-    const std::string& name = recovered.gate(g).name;
-    if (name.starts_with("keyinput")) free_keys.push_back(name);
-  }
-  if (free_keys.empty()) return sim::hamming_distance_percent(orig, recovered, hopts);
-  const std::size_t n = free_keys.size();
-  const bool enumerate = n <= 4;
-  const std::size_t completions = enumerate ? (std::size_t{1} << n) : 16;
-  std::mt19937_64 rng(seed);
-  double sum = 0.0;
-  for (std::size_t c = 0; c < completions; ++c) {
-    hopts.extra_inputs_b.clear();
-    const std::uint64_t bits = enumerate ? c : rng();
-    for (std::size_t i = 0; i < n; ++i) {
-      hopts.extra_inputs_b.emplace_back(free_keys[i], ((bits >> i) & 1) != 0);
-    }
-    sum += sim::hamming_distance_percent(orig, recovered, hopts);
-  }
-  return sum / static_cast<double>(completions);
-}
-
-// Builds the self-contained AttackJobSpec shared by `submit` and the
-// --deterministic one-shot path: netlists are inlined as canonical BENCH
-// text (Verilog inputs are converted), so the same spec means the same job
-// whether it runs here or inside a muxlinkd worker.
-core::AttackJobSpec spec_from_args(const CliArgs& args, const std::string& attack_name) {
+// Builds the self-contained AttackJobSpec shared by `submit` and the attack
+// front-ends: netlists are inlined as canonical BENCH text (Verilog inputs
+// are converted), so the same spec means the same job whether it runs here
+// or inside a muxlinkd worker.
+core::AttackJobSpec spec_from_args(const CliArgs& args, const std::string& attack_name,
+                                   const netlist::Netlist& locked) {
   core::AttackJobSpec spec;
   spec.attack = attack_name;
-  const auto locked = read_design(args.positional()[0]);
   spec.circuit = locked.name();
   spec.bench = netlist::write_bench(locked);
   spec.hops = static_cast<int>(args.get_long("hops", 3));
@@ -340,47 +297,16 @@ core::AttackJobSpec spec_from_args(const CliArgs& args, const std::string& attac
   return spec;
 }
 
-// attack/untangle --deterministic: run the job through the shared runner and
-// report only scheduling-invariant data. --report then writes EXACTLY the
-// bytes a muxlinkd worker would produce for the same spec.
-int run_deterministic(const CliArgs& args, const std::string& attack_name) {
-  for (const char* flag : {"telemetry", "checkpoint-dir", "checkpoint-every", "resume",
-                           "clip-grad", "save-model", "warm-start", "warm-epochs",
-                           "warm-lr-scale"}) {
-    if (args.has(flag)) {
-      throw std::invalid_argument(std::string("--") + flag +
-                                  " is not available with --deterministic (it is not part of an "
-                                  "AttackJobSpec)");
-    }
-  }
-  const core::AttackJobSpec spec = spec_from_args(args, attack_name);
-  const core::AttackJobOutcome outcome = core::run_attack_job(spec);
-  std::cout << "deciphered key = " << outcome.key_string << "\n";
-  std::cout << "deterministic manifest results (" << outcome.total_seconds << "s wall):\n";
-  if (const auto* results = outcome.manifest.find("results")) {
-    for (const auto& [name, value] : results->members()) {
-      std::cout << "  " << name << " = " << value.dump() << "\n";
-    }
-  }
-  if (const auto key_out = args.get("key-out")) write_text(*key_out, outcome.key_string + "\n");
-  if (const auto out = args.get("recover")) {
-    const auto locked = netlist::parse_bench(spec.bench, spec.circuit);
-    write_design(core::recover_design(locked, outcome.key), *out);
-    std::cout << "wrote " << *out << "\n";
-  }
-  if (const auto report = args.get("report")) {
-    write_text(*report, outcome.manifest.dump_pretty() + "\n");
-    std::cout << "wrote " << *report << "\n";
-  }
-  return 0;
-}
-
-int cmd_attack(const CliArgs& args) {
-  args.allow_only({"hops", "th", "epochs", "lr", "links", "seed", "key-out", "recover",
-                   "threads", "report", "telemetry", "truth-key", "orig", "scheme",
-                   "patterns", "checkpoint-dir", "checkpoint-every", "resume", "clip-grad",
-                   "save-model", "simd", "zoo", "zoo-dir", "warm-start", "warm-epochs",
-                   "warm-lr-scale", "no-score-cache", "deterministic"});
+// muxlink attack / untangle: both run and score through the shared job
+// runner. --deterministic runs the self-contained spec, so --report writes
+// EXACTLY the bytes a muxlinkd worker would produce for it. A plain run
+// hands the runner the netlist it read plus the CLI-only options
+// (telemetry, checkpoints, warm start, model output), and its --report is
+// that same manifest with the run's stage timings, thread count,
+// observability snapshot and serving figures added.
+int cmd_attack(const CliArgs& args, const std::string& attack_name,
+               const std::vector<std::string>& flags) {
+  args.allow_only(flags);
   if (args.positional().size() != 1) return usage();
   if (const long t = args.get_long("threads", 0); t > 0) {
     common::set_num_threads(static_cast<std::size_t>(t));
@@ -388,240 +314,92 @@ int cmd_attack(const CliArgs& args) {
   if (const auto simd = args.get("simd")) {
     common::set_simd_mode(common::parse_simd_mode(*simd));
   }
-  if (args.has("deterministic")) return run_deterministic(args, "muxlink");
+  const bool deterministic = args.has("deterministic");
+  if (deterministic) {
+    for (const char* flag : {"telemetry", "checkpoint-dir", "checkpoint-every", "resume",
+                             "clip-grad", "save-model", "warm-start", "warm-epochs",
+                             "warm-lr-scale"}) {
+      if (args.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " is not available with --deterministic (it is not part of "
+                                    "an AttackJobSpec)");
+      }
+    }
+  }
   const auto locked = read_design(args.positional()[0]);
-  core::MuxLinkOptions opts;
-  opts.hops = static_cast<int>(args.get_long("hops", 3));
-  opts.threshold = args.get_double("th", 0.01);
-  opts.epochs = static_cast<int>(args.get_long("epochs", 30));
-  opts.learning_rate = args.get_double("lr", 1e-3);
-  opts.max_train_links = static_cast<std::size_t>(args.get_long("links", 100000));
-  opts.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  const core::AttackJobSpec spec = spec_from_args(args, attack_name, locked);
+  core::MuxLinkOptions opts = core::job_options(spec);
   opts.telemetry_path = args.get_or("telemetry", "");
   opts.checkpoint_dir = args.get_or("checkpoint-dir", "");
   opts.checkpoint_every = static_cast<int>(args.get_long("checkpoint-every", 1));
   opts.resume = args.has("resume");
   opts.clip_grad = args.get_double("clip-grad", 0.0);
   opts.model_out = args.get_or("save-model", "");
-  opts.scheme = args.get_or("scheme", "");
-  // The label is folded into the zoo key, so an unknown name would silently
-  // shard the registry; validate through the shared resolver (exit 1).
-  if (!opts.scheme.empty()) locking::resolve_scheme(opts.scheme);
-  opts.zoo_dir = args.get_or("zoo-dir", "");
   opts.warm_start = args.get_or("warm-start", "");
   opts.warm_epochs = static_cast<int>(args.get_long("warm-epochs", 0));
   opts.warm_lr_scale = args.get_double("warm-lr-scale", 0.1);
-  opts.use_zoo = args.has("zoo") || args.has("zoo-dir") || !opts.warm_start.empty();
-  opts.score_cache = !args.has("no-score-cache");
+  opts.use_zoo = opts.use_zoo || !opts.warm_start.empty();
   if (opts.resume && opts.checkpoint_dir.empty()) {
     throw std::invalid_argument("--resume requires --checkpoint-dir");
   }
-  core::MuxLinkAttack attack(opts);
-  const auto result = attack.run(locked);
-  std::cout << "deciphered key = " << render_key(result.key) << "\n";
-  std::cout << "trained on " << result.training_links << " links (val acc "
-            << result.training.best_val_accuracy << "), " << result.total_seconds << "s total\n";
-  std::cout << "stages: sample " << result.sample_seconds << "s, train " << result.train_seconds
-            << "s, score " << result.score_seconds << "s (" << result.threads << " threads)\n";
-  if (result.training.resumed_from_epoch > 0) {
-    std::cout << "resumed from checkpoint at epoch " << result.training.resumed_from_epoch
-              << "\n";
+  const core::AttackJobOutcome outcome =
+      deterministic ? core::run_attack_job(spec) : core::run_attack_job(locked, spec, opts);
+
+  std::cout << "deciphered key = " << outcome.key_string << "\n";
+  std::cout << "stages: sample " << outcome.sample_seconds << "s, train " << outcome.train_seconds
+            << "s, score " << outcome.score_seconds << "s (" << outcome.threads << " threads), "
+            << outcome.total_seconds << "s total\n";
+  if (outcome.resumed_from_epoch > 0) {
+    std::cout << "resumed from checkpoint at epoch " << outcome.resumed_from_epoch << "\n";
   }
-  if (result.training.rollbacks > 0) {
-    std::cout << "divergence rollbacks: " << result.training.rollbacks << "\n";
-  }
-  if (result.serving.zoo_enabled) {
-    std::cout << "zoo " << (result.serving.zoo_hit ? "hit" : "miss") << " ("
-              << result.serving.zoo_key << ")";
-    if (result.serving.zoo_hit) {
-      std::cout << ", " << result.serving.bytes_mapped << " bytes mapped";
-    }
-    if (result.serving.warm_start) std::cout << ", warm-started";
-    if (result.serving.cache_hits + result.serving.cache_misses > 0) {
-      std::cout << "; score cache " << result.serving.cache_hits << "/"
-                << (result.serving.cache_hits + result.serving.cache_misses) << " hits";
+  if (outcome.rollbacks > 0) std::cout << "divergence rollbacks: " << outcome.rollbacks << "\n";
+  const core::ServingStats& serving = outcome.serving;
+  if (serving.zoo_enabled) {
+    std::cout << "zoo " << (serving.zoo_hit ? "hit" : "miss") << " (" << serving.zoo_key << ")";
+    if (serving.zoo_hit) std::cout << ", " << serving.bytes_mapped << " bytes mapped";
+    if (serving.warm_start) std::cout << ", warm-started";
+    if (serving.cache_hits + serving.cache_misses > 0) {
+      std::cout << "; score cache " << serving.cache_hits << "/"
+                << (serving.cache_hits + serving.cache_misses) << " hits";
     }
     std::cout << "\n";
   }
-  if (const auto key_out = args.get("key-out")) write_text(*key_out, render_key(result.key) + "\n");
-
-  std::optional<attacks::KeyPredictionScore> score;
-  if (const auto truth = args.get("truth-key")) {
-    const auto bits = read_truth_key(*truth);
-    if (bits.size() != result.key.size()) {
-      throw std::invalid_argument("--truth-key length " + std::to_string(bits.size()) +
-                                  " != " + std::to_string(result.key.size()) + " deciphered bits");
-    }
-    score = attacks::score_key(bits, result.key);
-    std::cout << "vs ground truth: " << score->to_string() << "\n";
+  for (const auto& [name, value] : outcome.manifest.at("results").members()) {
+    std::cout << "  " << name << " = " << value.dump() << "\n";
   }
-
-  std::optional<netlist::Netlist> recovered;
-  if (args.has("recover") || args.has("orig")) {
-    recovered = core::recover_design(locked, result.key);
-  }
+  if (const auto key_out = args.get("key-out")) write_text(*key_out, outcome.key_string + "\n");
   if (const auto out = args.get("recover")) {
-    write_design(*recovered, *out);
+    write_design(core::recover_design(locked, outcome.key), *out);
     std::cout << "wrote " << *out << "\n";
   }
-  std::optional<double> hd;
-  if (const auto orig_path = args.get("orig")) {
-    const auto orig = read_design(*orig_path);
-    hd = report_hd_percent(orig, *recovered,
-                           static_cast<std::size_t>(args.get_long("patterns", 10000)), opts.seed);
-    std::cout << "HD vs " << orig.name() << " = " << *hd << "%\n";
-  }
-
   if (const auto report = args.get("report")) {
-    common::RunManifest m = common::make_run_manifest("muxlink attack");
-    m.seed = opts.seed;
-    m.circuit = locked.name();
-    m.scheme = args.get_or("scheme", "");
-    m.key_bits = static_cast<std::int64_t>(result.key.size());
-    m.add_stage("sample", result.sample_seconds);
-    m.add_stage("train", result.train_seconds);
-    m.add_stage("score", result.score_seconds);
-    m.add_stage("total", result.total_seconds);
-    m.add_result("best_val_accuracy", result.training.best_val_accuracy);
-    m.add_result("training_links", static_cast<double>(result.training_links));
-    m.add_result("target_links", static_cast<double>(result.target_links));
-    std::size_t undecided = 0;
-    for (locking::KeyBit b : result.key) undecided += b == locking::KeyBit::kUnknown ? 1 : 0;
-    m.add_result("key_bits_decided", static_cast<double>(result.key.size() - undecided));
-    m.add_result("key_bits_undecided", static_cast<double>(undecided));
-    if (score) {
-      m.add_result("accuracy_percent", score->accuracy_percent());
-      m.add_result("precision_percent", score->precision_percent());
-      m.add_result("kpa_percent", score->kpa_percent());
+    common::Json doc = outcome.manifest;
+    if (!deterministic) {
+      common::RunManifest m = common::RunManifest::from_json(outcome.manifest);
+      m.threads = outcome.threads;
+      m.add_stage("sample", outcome.sample_seconds);
+      m.add_stage("train", outcome.train_seconds);
+      m.add_stage("score", outcome.score_seconds);
+      m.add_stage("total", outcome.total_seconds);
+      m.telemetry_path = opts.telemetry_path;
+      m.extra["sortpool_k"] = outcome.sortpool_k;
+      m.extra["feature_dim"] = outcome.feature_dim;
+      m.extra["rollbacks"] = outcome.rollbacks;
+      m.extra["resumed_from_epoch"] = outcome.resumed_from_epoch;
+      m.extra["cpu"] = gnn::cpu_info_json();
+      if (serving.zoo_enabled) {
+        common::Json& block = m.extra["serving"];
+        block["zoo_hit"] = serving.zoo_hit;
+        block["warm_start"] = serving.warm_start;
+        block["zoo_key"] = serving.zoo_key;
+        block["cache_hits"] = serving.cache_hits;
+        block["cache_misses"] = serving.cache_misses;
+        block["bytes_mapped"] = static_cast<long long>(serving.bytes_mapped);
+      }
+      m.observability = common::observability_to_json();
+      doc = m.to_json();
     }
-    if (hd) m.add_result("hd_percent", *hd);
-    m.telemetry_path = opts.telemetry_path;
-    common::Json extra = common::Json::object();
-    extra["hops"] = opts.hops;
-    extra["threshold"] = opts.threshold;
-    extra["epochs"] = opts.epochs;
-    extra["learning_rate"] = opts.learning_rate;
-    extra["sortpool_k"] = result.sortpool_k;
-    extra["feature_dim"] = result.feature_dim;
-    extra["deciphered_key"] = render_key(result.key);
-    extra["rollbacks"] = result.training.rollbacks;
-    extra["resumed_from_epoch"] = result.training.resumed_from_epoch;
-    extra["cpu"] = gnn::cpu_info_json();
-    if (result.serving.zoo_enabled) {
-      common::Json serving = common::Json::object();
-      serving["zoo_hit"] = result.serving.zoo_hit;
-      serving["warm_start"] = result.serving.warm_start;
-      serving["zoo_key"] = result.serving.zoo_key;
-      serving["cache_hits"] = result.serving.cache_hits;
-      serving["cache_misses"] = result.serving.cache_misses;
-      serving["bytes_mapped"] = static_cast<long long>(result.serving.bytes_mapped);
-      extra["serving"] = std::move(serving);
-    }
-    m.extra = std::move(extra);
-    m.observability = common::observability_to_json();
-    write_text(*report, m.to_json().dump_pretty() + "\n");
-    std::cout << "wrote " << *report << "\n";
-  }
-  return 0;
-}
-
-// muxlink untangle — UNTANGLE-style routing-query mode over the shared
-// scoring engine: per-tree argmax commit, no δ abstention.
-int cmd_untangle(const CliArgs& args) {
-  args.allow_only({"hops", "epochs", "lr", "links", "seed", "key-out", "recover", "threads",
-                   "report", "truth-key", "orig", "scheme", "patterns", "simd", "zoo",
-                   "zoo-dir", "no-score-cache", "deterministic"});
-  if (args.positional().size() != 1) return usage();
-  if (const long t = args.get_long("threads", 0); t > 0) {
-    common::set_num_threads(static_cast<std::size_t>(t));
-  }
-  if (const auto simd = args.get("simd")) {
-    common::set_simd_mode(common::parse_simd_mode(*simd));
-  }
-  if (args.has("deterministic")) return run_deterministic(args, "untangle");
-  const auto locked = read_design(args.positional()[0]);
-  core::MuxLinkOptions opts;
-  opts.hops = static_cast<int>(args.get_long("hops", 3));
-  opts.epochs = static_cast<int>(args.get_long("epochs", 30));
-  opts.learning_rate = args.get_double("lr", 1e-3);
-  opts.max_train_links = static_cast<std::size_t>(args.get_long("links", 100000));
-  opts.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  opts.scheme = args.get_or("scheme", "");
-  if (!opts.scheme.empty()) locking::resolve_scheme(opts.scheme);
-  opts.zoo_dir = args.get_or("zoo-dir", "");
-  opts.use_zoo = args.has("zoo") || args.has("zoo-dir");
-  opts.score_cache = !args.has("no-score-cache");
-  core::UntangleAttack attack(opts);
-  const auto result = attack.run(locked);
-  std::cout << "deciphered key = " << render_key(result.key) << "\n";
-  std::cout << result.queries.size() << " routing queries over " << result.target_links
-            << " candidate wires; trained on " << result.training_links << " links (val acc "
-            << result.training.best_val_accuracy << "), " << result.total_seconds
-            << "s total\n";
-  if (result.serving.zoo_enabled) {
-    std::cout << "zoo " << (result.serving.zoo_hit ? "hit" : "miss") << " ("
-              << result.serving.zoo_key << ")\n";
-  }
-  if (const auto key_out = args.get("key-out")) write_text(*key_out, render_key(result.key) + "\n");
-
-  std::optional<attacks::KeyPredictionScore> score;
-  if (const auto truth = args.get("truth-key")) {
-    const auto bits = read_truth_key(*truth);
-    if (bits.size() != result.key.size()) {
-      throw std::invalid_argument("--truth-key length " + std::to_string(bits.size()) +
-                                  " != " + std::to_string(result.key.size()) + " deciphered bits");
-    }
-    score = attacks::score_key(bits, result.key);
-    std::cout << "vs ground truth: " << score->to_string() << "\n";
-  }
-
-  std::optional<netlist::Netlist> recovered;
-  if (args.has("recover") || args.has("orig")) {
-    recovered = core::recover_design(locked, result.key);
-  }
-  if (const auto out = args.get("recover")) {
-    write_design(*recovered, *out);
-    std::cout << "wrote " << *out << "\n";
-  }
-  std::optional<double> hd;
-  if (const auto orig_path = args.get("orig")) {
-    const auto orig = read_design(*orig_path);
-    hd = report_hd_percent(orig, *recovered,
-                           static_cast<std::size_t>(args.get_long("patterns", 10000)), opts.seed);
-    std::cout << "HD vs " << orig.name() << " = " << *hd << "%\n";
-  }
-
-  if (const auto report = args.get("report")) {
-    common::RunManifest m = common::make_run_manifest("muxlink untangle");
-    m.seed = opts.seed;
-    m.circuit = locked.name();
-    m.scheme = args.get_or("scheme", "");
-    m.key_bits = static_cast<std::int64_t>(result.key.size());
-    m.add_stage("sample", result.sample_seconds);
-    m.add_stage("train", result.train_seconds);
-    m.add_stage("score", result.score_seconds);
-    m.add_stage("total", result.total_seconds);
-    m.add_result("best_val_accuracy", result.training.best_val_accuracy);
-    m.add_result("training_links", static_cast<double>(result.training_links));
-    m.add_result("target_links", static_cast<double>(result.target_links));
-    m.add_result("routing_queries", static_cast<double>(result.queries.size()));
-    std::size_t undecided = 0;
-    for (locking::KeyBit b : result.key) undecided += b == locking::KeyBit::kUnknown ? 1 : 0;
-    m.add_result("key_bits_decided", static_cast<double>(result.key.size() - undecided));
-    m.add_result("key_bits_undecided", static_cast<double>(undecided));
-    if (score) {
-      m.add_result("accuracy_percent", score->accuracy_percent());
-      m.add_result("precision_percent", score->precision_percent());
-      m.add_result("kpa_percent", score->kpa_percent());
-    }
-    if (hd) m.add_result("hd_percent", *hd);
-    common::Json extra = common::Json::object();
-    extra["hops"] = opts.hops;
-    extra["epochs"] = opts.epochs;
-    extra["deciphered_key"] = render_key(result.key);
-    m.extra = std::move(extra);
-    m.observability = common::observability_to_json();
-    write_text(*report, m.to_json().dump_pretty() + "\n");
+    write_text(*report, doc.dump_pretty() + "\n");
     std::cout << "wrote " << *report << "\n";
   }
   return 0;
@@ -753,7 +531,7 @@ int cmd_simple_attack(const CliArgs& args, bool saam) {
   if (args.positional().size() != 1) return usage();
   const auto locked = read_design(args.positional()[0]);
   const auto key = saam ? attacks::saam_attack(locked) : attacks::scope_attack(locked);
-  std::cout << "deciphered key = " << render_key(key) << "\n";
+  std::cout << "deciphered key = " << core::render_key(key) << "\n";
   return 0;
 }
 
@@ -822,19 +600,18 @@ int render_result_reply(const CliArgs& args, const common::Json& reply) {
 int cmd_submit(const CliArgs& args) {
   args.allow_only({"attack", "hops", "th", "epochs", "lr", "links", "seed", "scheme",
                    "truth-key", "orig", "patterns", "zoo", "zoo-dir", "no-score-cache",
-                   "timeout", "daemon", "wait", "report", "key-out", "poll-ms"});
+                   "timeout", "daemon", "wait", "report", "key-out"});
   if (args.positional().size() != 1) return usage();
   const std::string attack_name = args.get_or("attack", "muxlink");
-  core::AttackJobSpec spec = spec_from_args(args, attack_name);
+  core::AttackJobSpec spec =
+      spec_from_args(args, attack_name, read_design(args.positional()[0]));
   spec.timeout_seconds = args.get_double("timeout", 0.0);
   auto client = make_client(args);
   const std::string job_id = client.submit(spec);
   std::cout << "submitted " << job_id << " (" << spec.attack << " on " << spec.circuit << ") to "
             << client.address() << "\n";
   if (!args.has("wait")) return 0;
-  const auto reply =
-      client.wait_for_result(job_id, static_cast<int>(args.get_long("poll-ms", 100)));
-  return render_result_reply(args, reply);
+  return render_result_reply(args, client.wait_for_result(job_id));
 }
 
 int cmd_status(const CliArgs& args) {
@@ -857,14 +634,11 @@ int cmd_status(const CliArgs& args) {
 }
 
 int cmd_result(const CliArgs& args) {
-  args.allow_only({"daemon", "wait", "report", "key-out", "poll-ms"});
+  args.allow_only({"daemon", "wait", "report", "key-out"});
   if (args.positional().size() != 1) return usage();
   auto client = make_client(args);
   const std::string& job_id = args.positional()[0];
-  const auto reply =
-      args.has("wait")
-          ? client.wait_for_result(job_id, static_cast<int>(args.get_long("poll-ms", 100)))
-          : client.result(job_id);
+  const auto reply = args.has("wait") ? client.wait_for_result(job_id) : client.result(job_id);
   return render_result_reply(args, reply);
 }
 
@@ -904,8 +678,21 @@ int main(int argc, char** argv) {
     if (cmd == "gen") return cmd_gen(args);
     if (cmd == "stats") return cmd_stats(args);
     if (cmd == "lock") return cmd_lock(args);
-    if (cmd == "attack") return cmd_attack(args);
-    if (cmd == "untangle") return cmd_untangle(args);
+    // untangle shares the attack flags minus --th and the training-only ones.
+    if (cmd == "attack") {
+      return cmd_attack(args, "muxlink",
+                        {"hops", "th", "epochs", "lr", "links", "seed", "key-out", "recover",
+                         "threads", "report", "telemetry", "truth-key", "orig", "scheme",
+                         "patterns", "checkpoint-dir", "checkpoint-every", "resume", "clip-grad",
+                         "save-model", "simd", "zoo", "zoo-dir", "warm-start", "warm-epochs",
+                         "warm-lr-scale", "no-score-cache", "deterministic"});
+    }
+    if (cmd == "untangle") {
+      return cmd_attack(args, "untangle",
+                        {"hops", "epochs", "lr", "links", "seed", "key-out", "recover", "threads",
+                         "report", "truth-key", "orig", "scheme", "patterns", "simd", "zoo",
+                         "zoo-dir", "no-score-cache", "deterministic"});
+    }
     if (cmd == "campaign") return cmd_campaign(args);
     if (cmd == "zoo") return cmd_zoo(args);
     if (cmd == "saam") return cmd_simple_attack(args, true);
