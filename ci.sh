@@ -6,7 +6,8 @@
 #   ./ci.sh          # all stages
 #   ./ci.sh tier1    # Release build + ctest only
 #   ./ci.sh san      # sanitizer build + ctest only
-#   ./ci.sh docs     # report pipeline + manifest validation + Markdown links
+#   ./ci.sh docs     # report pipeline + manifest validation + Markdown links,
+#                    # and README's env table == the MUXLINK_* getenv() set
 #   ./ci.sh faults   # kill-and-resume e2e, the saved model reloaded as a
 #                    # warm-start ref, and a netlist fuzz smoke (sanitized)
 #   ./ci.sh simd     # GNN suites under MUXLINK_SIMD=scalar and =avx2, plus
@@ -30,6 +31,7 @@
 #                    # under ASan+UBSan
 #   ./ci.sh fleet    # fleet-coordinator gate: a muxlink-coord job whose
 #                    # manifest must be byte-identical to `muxlink submit`,
+#                    # bad-spec usage errors (exit 1, nothing dispatched),
 #                    # a 2-backend chaos drill (one muxlinkd SIGKILLed and
 #                    # restarted mid-campaign) whose aggregate must be
 #                    # byte-identical to the no-fleet run, the bench_fleet
@@ -128,6 +130,20 @@ run_docs() {
     grep -qi "$token" DESIGN.md \
       || { echo "DESIGN.md §14 lost its '$token' coverage" >&2; return 1; }
   done
+
+  # README's environment table calls itself the complete set: its rows must
+  # name exactly the MUXLINK_* variables that src/ and tools/ getenv().
+  local read_vars table_vars
+  read_vars="$(grep -rhoE 'getenv\("MUXLINK_[A-Z0-9_]+"' src tools \
+    | sed 's/^getenv("//; s/"$//' | sort -u)"
+  table_vars="$(awk '/^### Environment variables/ {on = 1; next} on && /^#/ {on = 0} on' \
+    README.md | grep -oE '^\| `MUXLINK_[A-Z0-9_]+`' | sed 's/^| `//; s/`$//' | sort -u)"
+  if [ "$read_vars" != "$table_vars" ]; then
+    echo "README environment table differs from the getenv(\"MUXLINK_*\") calls" \
+      "(< read by src/ + tools/, > listed in README):" >&2
+    diff <(echo "$read_vars") <(echo "$table_vars") >&2 || true
+    return 1
+  fi
 
   # Intra-repo Markdown links must resolve (external URLs are skipped).
   local fail=0 f link target
@@ -484,6 +500,17 @@ run_fleet() {
     --report "$d/submit.json" >/dev/null
   cmp "$d/coord/f1.json" "$d/submit.json" \
     || { echo "muxlink-coord manifest differs from muxlink submit" >&2; rm -rf "$d"; return 1; }
+  # A bad spec is a usage error (exit 1) before anything is dispatched, as
+  # it is for `muxlink submit`.
+  local bad rc
+  for bad in "--scheme bogus" "--attack bogus"; do
+    rc=0
+    # shellcheck disable=SC2086  # $bad is a flag and its value
+    build/tools/muxlink-coord --backends "unix:$d/b1.sock" $bad "$d/l.bench" \
+      >/dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] \
+      || { echo "muxlink-coord $bad exited $rc, want 1" >&2; rm -rf "$d"; return 1; }
+  done
   (
     sleep 1
     kill -KILL "$dpid1" 2>/dev/null || true

@@ -18,6 +18,7 @@ DaemonClient::~DaemonClient() {
 
 void DaemonClient::ensure_connected() {
   if (fd_ >= 0) return;
+  constexpr double kRetryBackoff = 2.0;
   int delay_ms = opts_.retry_initial_ms;
   const int attempts = std::max(1, opts_.connect_attempts);
   for (int attempt = 1;; ++attempt) {
@@ -27,7 +28,7 @@ void DaemonClient::ensure_connected() {
     } catch (const DaemonError&) {
       if (attempt >= attempts) throw;
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-      delay_ms = static_cast<int>(delay_ms * opts_.retry_backoff);
+      delay_ms = static_cast<int>(delay_ms * kRetryBackoff);
     }
   }
   // Version negotiation before anything else (DESIGN.md §13), plus the

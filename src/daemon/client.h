@@ -19,9 +19,8 @@ namespace muxlink::daemon {
 struct ClientOptions {
   std::string address;      // "" = default_address()
   int connect_attempts = 5; // total tries before giving up
-  int retry_initial_ms = 50;
-  double retry_backoff = 2.0;  // 50, 100, 200, 400 ms between attempts
-  int io_timeout_ms = 0;       // per-reply wait (0 = block; jobs can run minutes)
+  int retry_initial_ms = 50;  // doubles per attempt: 50, 100, 200, 400 ms
+  int io_timeout_ms = 0;      // per-reply wait (0 = block; jobs can run minutes)
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 

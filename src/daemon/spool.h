@@ -1,7 +1,6 @@
-// Durable results spool shared by muxlinkd and the fleet coordinator
-// (DESIGN.md §14). One result document per file under a spool directory —
-// the directory IS the index, so there is no sidecar to corrupt and crash
-// recovery is a scan.
+// Durable results spool of muxlinkd (`--spool D`, DESIGN.md §13). One
+// result document per file under a spool directory — the directory IS the
+// index, so there is no sidecar to corrupt and crash recovery is a scan.
 //
 // Layout:
 //   <dir>/<job_id>.json       result document (atomic_write_file)

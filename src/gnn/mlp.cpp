@@ -158,8 +158,9 @@ MlpTrainReport train_mlp(Mlp& model, const std::vector<MlpSample>& samples,
   std::vector<std::size_t> index(samples.size());
   std::iota(index.begin(), index.end(), 0);
   std::shuffle(index.begin(), index.end(), rng);
+  constexpr double kValidationFraction = 0.1;
   std::size_t val_count =
-      static_cast<std::size_t>(opts.validation_fraction * static_cast<double>(samples.size()));
+      static_cast<std::size_t>(kValidationFraction * static_cast<double>(samples.size()));
   if (val_count < 8) val_count = 0;
   std::vector<MlpSample> val;
   std::vector<const MlpSample*> train;

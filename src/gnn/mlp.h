@@ -63,7 +63,6 @@ struct MlpSample {
 struct MlpTrainOptions {
   int epochs = 60;
   int batch_size = 32;
-  double validation_fraction = 0.1;
   std::uint64_t seed = 1;
 };
 

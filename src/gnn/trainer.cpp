@@ -134,8 +134,9 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
   std::vector<std::size_t> index(samples.size());
   std::iota(index.begin(), index.end(), 0);
   std::shuffle(index.begin(), index.end(), rng);
+  constexpr double kValidationFraction = 0.1;
   std::size_t val_count =
-      static_cast<std::size_t>(opts.validation_fraction * static_cast<double>(samples.size()));
+      static_cast<std::size_t>(kValidationFraction * static_cast<double>(samples.size()));
   // A validation set this small cannot rank checkpoints meaningfully; fall
   // back to training on everything and validating on everything.
   if (val_count < 8) val_count = 0;
@@ -286,7 +287,8 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
       if (report.rollbacks > opts.max_rollbacks) break;  // keep best checkpoint
       model.load_parameters(best);
       model.reset_optimizer();
-      model.set_learning_rate(model.config().learning_rate * opts.rollback_lr_decay);
+      constexpr double kRollbackLrDecay = 0.5;
+      model.set_learning_rate(model.config().learning_rate * kRollbackLrDecay);
       continue;  // the diverged epoch updates no best/telemetry/checkpoint
     }
     const double val_acc = accuracy_of(model, val);

@@ -32,7 +32,6 @@ struct EpochStats {
 struct TrainOptions {
   int epochs = 100;
   int batch_size = 32;
-  double validation_fraction = 0.1;
   std::uint64_t seed = 1;  // shuffling/split seed (the model owns its own RNG)
   // Called after every epoch with (epoch, train_loss, val_accuracy).
   std::function<void(int, double, double)> on_epoch;
@@ -45,12 +44,10 @@ struct TrainOptions {
   // Divergence handling: every epoch the train loss (and the gradient
   // norm, whenever it is computed) is scanned for NaN/Inf. A diverged
   // epoch rolls the model back to the best-so-far parameters, resets the
-  // Adam moments (they may be NaN-poisoned), and multiplies the learning
-  // rate by `rollback_lr_decay` — instead of aborting the run. After
-  // `max_rollbacks` rollbacks training stops early, keeping the best
-  // checkpoint so far.
+  // Adam moments (they may be NaN-poisoned), and halves the learning rate
+  // — instead of aborting the run. After `max_rollbacks` rollbacks training
+  // stops early, keeping the best checkpoint so far.
   int max_rollbacks = 3;
-  double rollback_lr_decay = 0.5;
 
   // --- crash-safe checkpointing (DESIGN.md §8) ------------------------
   // When non-empty, the complete trainer state is written atomically to

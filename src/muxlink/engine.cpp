@@ -254,21 +254,23 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
       train_epochs = opts.warm_epochs > 0 ? opts.warm_epochs : std::max(1, opts.epochs / 4);
       for (int e = 0; e < ensemble; ++e) {
         const std::string ref = member_ref(opts.warm_start, e);
-        std::filesystem::path blob;
+        // One find() per candidate, its result used as is: an entry that a
+        // concurrent gc evicts is a miss, never a dangling lookup.
+        const auto in_registry = [&](const std::string& k) {
+          return registry ? registry->find(k) : std::nullopt;
+        };
+        std::optional<std::filesystem::path> blob;
         std::error_code ec;
-        if (std::filesystem::is_regular_file(ref, ec)) {
-          blob = ref;
-        } else if (registry && registry->contains(ref)) {
-          blob = *registry->find(ref);
-        } else if (registry && registry->contains(opts.warm_start)) {
-          blob = *registry->find(opts.warm_start);
-        } else {
+        if (std::filesystem::is_regular_file(ref, ec)) blob = ref;
+        if (!blob) blob = in_registry(ref);
+        if (!blob) blob = in_registry(opts.warm_start);
+        if (!blob) {
           throw zoo::ZooError("warm-start ref '" + opts.warm_start +
                               "' is neither a blob file nor a registry entry");
         }
         zoo::LoadOptions lopts;
         lopts.with_optimizer = true;
-        zoo::LoadedModel lm = zoo::load_model_blob(blob, lopts);
+        zoo::LoadedModel lm = zoo::load_model_blob(*blob, lopts);
         if (lm.model.feature_dim() != feature_dim) {
           throw zoo::ZooError("warm-start ref '" + ref + "' has feature dim " +
                               std::to_string(lm.model.feature_dim()) + ", this run needs " +

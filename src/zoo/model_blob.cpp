@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -156,20 +155,13 @@ void LoadedModel::materialize() {
   mapping.reset();
 }
 
-bool mmap_enabled() {
-  const char* v = std::getenv("MUXLINK_ZOO_MMAP");
-  return v == nullptr || v[0] != '0' || v[1] != '\0';
-}
-
 LoadedModel load_model_blob(const std::filesystem::path& path, const LoadOptions& opts) {
-  const bool want_mmap = !opts.force_copy && mmap_enabled();
-
   // Get the bytes: prefer a shared mapping, fall back to a buffered slurp.
   std::shared_ptr<void> mapping;
   std::string buffer;
   const char* base = nullptr;
   std::size_t size = 0;
-  if (want_mmap) {
+  if (!opts.force_copy) {
     const Mapping m = map_file(path);
     if (m.addr != nullptr) {
       mapping = std::shared_ptr<void>(m.addr, [len = m.len](void* p) { ::munmap(p, len); });

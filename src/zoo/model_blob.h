@@ -4,7 +4,7 @@
 // weight matrices INTO the mapping (zero tensor copies; the page cache
 // shares weights across processes), falling back to a streaming copy when
 // the blob cannot be mapped in place (foreign simd_lanes/ld, unaligned
-// offsets, mmap failure, or MUXLINK_ZOO_MMAP=0).
+// offsets, mmap failure, or LoadOptions::force_copy).
 #pragma once
 
 #include <filesystem>
@@ -47,8 +47,7 @@ struct LoadOptions {
   // path skips the copy). Moments are always owned, never views: training
   // writes them in place.
   bool with_optimizer = false;
-  // Force the streaming-copy reader even when mapping would work (tests,
-  // MUXLINK_ZOO_MMAP=0).
+  // Force the streaming-copy reader even when mapping would work (tests).
   bool force_copy = false;
   // The handle will only ever score (the registry's served handles): drop
   // the model's gradient and Adam buffers and, once the CRC pass is done,
@@ -56,9 +55,6 @@ struct LoadOptions {
   // reads. Such a model cannot be trained or materialize()d into a trainer.
   bool score_only = false;
 };
-
-// False when MUXLINK_ZOO_MMAP=0 forces the streaming-copy reader.
-bool mmap_enabled();
 
 // Loads a blob, preferring the zero-copy mmap path. Throws ZooError on a
 // missing/corrupt/incompatible file.

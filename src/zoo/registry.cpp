@@ -4,8 +4,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <array>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -13,7 +11,6 @@
 #include <map>
 #include <mutex>
 #include <system_error>
-#include <unordered_map>
 #include <utility>
 
 #include "common/atomic_file.h"
@@ -24,41 +21,6 @@ namespace muxlink::zoo {
 namespace fs = std::filesystem;
 
 namespace {
-
-// Bump coalescing (read-mostly find). Every find() used to rewrite the
-// blob's mtime, so N concurrent warm jobs hitting the same hot entry
-// serialized on N utimensat calls to one inode. With a window configured
-// (MUXLINK_ZOO_BUMP_WINDOW_MS > 0), only the first find() per entry inside
-// each window pays for the write; the rest are pure reads. LRU recency is
-// unaffected at gc timescales — an entry read any time inside the window is
-// at most one window stale, and the first find on a path always bumps (the
-// strict-monotonicity contract below stays intact). The table is
-// process-local and keyed by path, so distinct Registry instances over one
-// directory share it.
-struct BumpShard {
-  std::mutex m;
-  std::unordered_map<std::string, std::chrono::steady_clock::time_point> last;
-};
-
-long bump_window_ms() {
-  const char* env = std::getenv("MUXLINK_ZOO_BUMP_WINDOW_MS");
-  if (env == nullptr || env[0] == '\0') return 0;  // 0 = bump on every find
-  return std::strtol(env, nullptr, 10);
-}
-
-bool should_bump(const std::string& path) {
-  const long window = bump_window_ms();
-  if (window <= 0) return true;
-  static std::array<BumpShard, 16> shards;
-  BumpShard& shard = shards[fnv1a64(path) & 15];
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(shard.m);
-  const auto [it, first_find] = shard.last.try_emplace(path, now);
-  if (first_find) return true;
-  if (now - it->second < std::chrono::milliseconds(window)) return false;
-  it->second = now;
-  return true;
-}
 
 std::optional<BlobStamp> stamp_of(const fs::path& path) {
   struct stat st{};
@@ -75,15 +37,13 @@ std::int64_t wall_clock_ns() {
 }
 
 // Served-handle cache (DESIGN.md §11). One process-wide table of verified,
-// score-only models, keyed by (entry path, mmap mode): the mode is part of
-// the key because a mapped and a copied handle differ in what they report
-// (bytes_mapped), so MUXLINK_ZOO_MMAP=0 must never be served a mapped one.
-// Each entry remembers the BlobStamp it was verified against and follows the
-// mtime its own find() bumps write; any other change to the file's identity
-// (a new inode from insert, an in-place write, another process's bump) makes
-// the next serve reload and re-verify. Capacity is fixed; past it the least
-// recently served entry goes. Every miss also sweeps entries whose file is
-// gone or changed, so handles of deleted zoos do not stay mapped.
+// score-only models, keyed by entry path. Each entry remembers the BlobStamp
+// it was verified against and follows the mtime its own find() bumps write;
+// any other change to the file's identity (a new inode from insert, an
+// in-place write, another process's bump) makes the next serve reload and
+// re-verify. Capacity is fixed; past it the least recently served entry
+// goes. Every miss also sweeps entries whose file is gone or changed, so
+// handles of deleted zoos do not stay mapped.
 //
 // The mutex covers find's stat + bump + compare, so this process's own bumps
 // are always recorded before the next serve compares. Loads run under it too:
@@ -101,7 +61,6 @@ class HandleCache {
   }
 
   std::shared_ptr<const LoadedModel> serve(const Registry& reg, const std::string& key) {
-    const bool mapped = mmap_enabled();
     const fs::path path = reg.entry_path(key);
     std::lock_guard<std::mutex> lock(m_);
     FindStamp seen;
@@ -111,7 +70,7 @@ class HandleCache {
     }
     BlobStamp now = seen.found;
     if (seen.wrote_mtime_ns) now.mtime_ns = *seen.wrote_mtime_ns;
-    const auto it = entries_.find({path.string(), mapped});
+    const auto it = entries_.find(path.string());
     if (it != entries_.end() && it->second.stamp == seen.found) {
       it->second.stamp = now;
       it->second.last_use = ++tick_;
@@ -130,14 +89,13 @@ class HandleCache {
                                         return a.second.last_use < b.second.last_use;
                                       }));
     }
-    entries_[{path.string(), mapped}] = Entry{now, handle, ++tick_};
+    entries_[path.string()] = Entry{now, handle, ++tick_};
     return handle;
   }
 
   void forget(const fs::path& path) {
     std::lock_guard<std::mutex> lock(m_);
-    entries_.erase({path.string(), false});
-    entries_.erase({path.string(), true});
+    entries_.erase(path.string());
   }
 
  private:
@@ -150,13 +108,13 @@ class HandleCache {
   // Drops entries whose file is gone or no longer matches its stamp.
   void sweep() {
     for (auto it = entries_.begin(); it != entries_.end();) {
-      const auto stamp = stamp_of(it->first.first);
+      const auto stamp = stamp_of(it->first);
       it = stamp && *stamp == it->second.stamp ? std::next(it) : entries_.erase(it);
     }
   }
 
   std::mutex m_;
-  std::map<std::pair<std::string, bool>, Entry> entries_;
+  std::map<std::string, Entry> entries_;
   std::uint64_t tick_ = 0;
 };
 
@@ -210,9 +168,6 @@ std::optional<fs::path> Registry::find(const std::string& key, FindStamp* stamp)
   const auto found = stamp_of(path);
   if (!found) return std::nullopt;
   if (stamp != nullptr) *stamp = FindStamp{*found, std::nullopt};
-  // Read-mostly fast path: inside a coalescing window the hit is served
-  // without touching the inode (see BumpShard above).
-  if (!should_bump(path.string())) return path;
   // LRU bump. Best-effort: a hit on an entry someone just evicted still
   // reports the miss via the caller's subsequent open. On filesystems with
   // coarse mtime granularity (or when the entry's mtime sits in the future)

@@ -92,7 +92,7 @@ struct BlobStamp {
 };
 
 // What find() saw before its LRU bump, and the mtime the bump wrote (nullopt
-// when the bump was coalesced away or failed).
+// when the bump failed).
 struct FindStamp {
   BlobStamp found;
   std::optional<std::int64_t> wrote_mtime_ns;
@@ -118,13 +118,10 @@ class Registry {
   // the old blob.
   void insert(const std::string& key, std::string_view blob_bytes) const;
 
-  // LRU-bumps the entry (mtime := now) and returns its path; nullopt on miss.
-  // Read-mostly serving: when MUXLINK_ZOO_BUMP_WINDOW_MS > 0, repeat hits on
-  // the same entry within the window skip the mtime write (concurrent warm
-  // jobs stop serializing on the inode); the first hit per window still
-  // bumps, so LRU recency is at most one window stale.
-  // When `stamp` is given, it receives the entry's identity before the bump
-  // and the mtime the bump wrote.
+  // LRU-bumps the entry (mtime := now, and always strictly past the stored
+  // mtime) on every hit and returns its path; nullopt on miss. When `stamp`
+  // is given, it receives the entry's identity before the bump and the mtime
+  // the bump wrote.
   std::optional<std::filesystem::path> find(const std::string& key,
                                             FindStamp* stamp = nullptr) const;
 
@@ -132,10 +129,10 @@ class Registry {
   // cache: returns the entry's verified, score-only model (shared and
   // immutable; Dgcnn::score is safe from any number of threads), or nullptr
   // on a registry miss. The blob is mapped and CRC-checked only when no
-  // cached handle matches (entry path, mmap mode, BlobStamp); the cache
-  // accepts the mtime its own find() bump wrote, and any other identity
-  // change reloads and re-verifies. Throws ZooError when the blob is corrupt
-  // or incompatible. Counts serving.handle_hits / serving.handle_loads.
+  // cached handle matches (entry path, BlobStamp); the cache accepts the
+  // mtime its own find() bump wrote, and any other identity change reloads
+  // and re-verifies. Throws ZooError when the blob is corrupt or
+  // incompatible. Counts serving.handle_hits / serving.handle_loads.
   std::shared_ptr<const LoadedModel> serve(const std::string& key) const;
 
   // Pinned entries survive any gc budget.

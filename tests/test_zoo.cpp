@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -155,6 +154,23 @@ void corrupt_in_place(const fs::path& p) {
     const char c = static_cast<char>(f.get() ^ 0x10);
     f.seekp(-5, std::ios::end);
     f.put(c);
+    ASSERT_TRUE(f.good());
+  }
+  fs::last_write_time(p, before + std::chrono::seconds(1));
+}
+
+// Rewrites the header's simd_lanes (the u32 at offset 16, outside the
+// payload CRC) in place to a width no build of this code uses, then moves
+// the mtime like corrupt_in_place. The blob still decodes, but its geometry
+// is no longer this build's in-memory one, so load_model_blob must take the
+// streaming-copy reader: the production route to the fallback.
+void make_lanes_foreign(const fs::path& p) {
+  const auto before = fs::last_write_time(p);
+  {
+    std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t lanes = 8;
+    f.seekp(16);
+    f.write(reinterpret_cast<const char*>(&lanes), sizeof lanes);
     ASSERT_TRUE(f.good());
   }
   fs::last_write_time(p, before + std::chrono::seconds(1));
@@ -371,12 +387,12 @@ TEST_F(BlobTest, UnknownLayoutVersionIsRejectedNotMisread) {
   EXPECT_THROW(zoo::load_model_blob(dir_.path / "layout.mzb"), zoo::ZooError);
 }
 
-TEST_F(BlobTest, EnvVarForcesStreamingCopy) {
+TEST_F(BlobTest, ForeignSimdLanesTakeTheStreamingCopy) {
   const auto model = small_model();
   const fs::path p = write_blob(model, /*with_optimizer=*/false);
-  ::setenv("MUXLINK_ZOO_MMAP", "0", 1);
+  ASSERT_TRUE(zoo::load_model_blob(p).mapped);
+  make_lanes_foreign(p);
   const auto loaded = zoo::load_model_blob(p);
-  ::unsetenv("MUXLINK_ZOO_MMAP");
   EXPECT_FALSE(loaded.mapped);
   EXPECT_EQ(loaded.bytes_mapped, 0u);
   expect_params_bit_equal(model.save_parameters(), loaded.model.save_parameters());
@@ -715,30 +731,6 @@ TEST(Registry, ListAndGcOrderDeterministicUnderIdenticalMtimes) {
   EXPECT_TRUE(reg.contains("delta"));
 }
 
-TEST(Registry, BumpCoalescingSkipsRepeatMtimeWritesInsideTheWindow) {
-  TempDir dir("coalesce");
-  const zoo::Registry reg(dir.path / "zoo");
-  reg.insert("hot", "payload");
-  const auto stale = fs::file_time_type::clock::now() - std::chrono::hours(2);
-
-  ::setenv("MUXLINK_ZOO_BUMP_WINDOW_MS", "60000", 1);
-  // The first find on a path always pays for the bump, window or not —
-  // that keeps the strict-monotonicity contract intact.
-  fs::last_write_time(reg.entry_path("hot"), stale);
-  ASSERT_TRUE(reg.find("hot").has_value());
-  EXPECT_GT(fs::last_write_time(reg.entry_path("hot")), stale);
-
-  // Repeat hits inside the window are pure reads: the mtime we plant stays.
-  fs::last_write_time(reg.entry_path("hot"), stale);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(reg.find("hot").has_value());
-  EXPECT_EQ(fs::last_write_time(reg.entry_path("hot")), stale);
-
-  // With the window off (the default), every find bumps again.
-  ::unsetenv("MUXLINK_ZOO_BUMP_WINDOW_MS");
-  ASSERT_TRUE(reg.find("hot").has_value());
-  EXPECT_GT(fs::last_write_time(reg.entry_path("hot")), stale);
-}
-
 TEST(Registry, FindBumpIsStrictlyMonotonicEvenAgainstFutureMtimes) {
   TempDir dir("bump");
   const zoo::Registry reg(dir.path / "zoo");
@@ -757,6 +749,15 @@ TEST(Registry, FindBumpIsStrictlyMonotonicEvenAgainstFutureMtimes) {
   EXPECT_EQ(entries[0].key, "b") << "find() must leave the other entry older";
   EXPECT_EQ(entries[1].key, "a") << "found entry must become most-recently-used";
   EXPECT_GT(entries[1].last_used, entries[0].last_used);
+
+  // Every hit bumps: repeat finds each advance the mtime again.
+  auto last = fs::last_write_time(reg.entry_path("a"));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(reg.find("a").has_value());
+    const auto now = fs::last_write_time(reg.entry_path("a"));
+    EXPECT_GT(now, last) << "find " << i;
+    last = now;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -841,21 +842,26 @@ TEST(HandleCache, InPlaceWriteOrForeignBumpReverifies) {
   EXPECT_THROW(reg.serve("k"), zoo::ZooError) << "a rejected blob must not be cached";
 }
 
-TEST(HandleCache, MmapModeIsPartOfTheKey) {
-  TempDir dir("handles-mode");
+TEST(HandleCache, ForeignLanesBlobIsServedThroughTheCopyReader) {
+  TempDir dir("handles-copy");
   const zoo::Registry reg(dir.path / "zoo");
-  reg.insert("k", blob_of(small_model()));
+  const auto model = small_model();
+  reg.insert("k", blob_of(model));
   const auto mapped = reg.serve("k");
   ASSERT_NE(mapped, nullptr);
   EXPECT_GT(mapped->bytes_mapped, 0u);
 
-  ::setenv("MUXLINK_ZOO_MMAP", "0", 1);
+  make_lanes_foreign(reg.entry_path("k"));
+  common::MetricsRegistry::instance().reset();
   const auto copied = reg.serve("k");
-  ::unsetenv("MUXLINK_ZOO_MMAP");
   ASSERT_NE(copied, nullptr);
   EXPECT_FALSE(copied->mapped);
   EXPECT_EQ(copied->bytes_mapped, 0u);
-  EXPECT_GT(reg.serve("k")->bytes_mapped, 0u);
+  EXPECT_TRUE(bit_equal(copied->model.score(ring_sample()), model.score(ring_sample())));
+  EXPECT_EQ(reg.serve("k"), copied) << "the copied handle is cached like a mapped one";
+  if (common::metrics_enabled()) {
+    EXPECT_EQ(counter("serving.handle_loads"), 1);
+  }
 }
 
 TEST(HandleCache, GcDropsTheHandle) {
@@ -1067,13 +1073,17 @@ TEST(ZooEndToEnd, ServedRunsAreBitIdenticalToTheTrainingRun) {
   EXPECT_EQ(fresh.serving.cache_hits, 0u);
   expect_same_attack_result(cold, fresh, "fresh");
 
-  // Copy fallback: MUXLINK_ZOO_MMAP=0 must not change a single bit.
-  ::setenv("MUXLINK_ZOO_MMAP", "0", 1);
-  const auto nomap = core::MuxLinkAttack(opts).run(design.netlist);
-  ::unsetenv("MUXLINK_ZOO_MMAP");
-  EXPECT_TRUE(nomap.serving.zoo_hit);
-  EXPECT_EQ(nomap.serving.bytes_mapped, 0u);
-  expect_same_attack_result(cold, nomap, "nomap");
+  // Copy fallback: a blob whose header names foreign SIMD lanes is served
+  // through the streaming-copy reader, scores recomputed, without changing a
+  // single bit.
+  make_lanes_foreign(zoo::Registry(dir.path / "zoo").entry_path(cold.serving.zoo_key));
+  fs::remove_all(dir.path / "zoo" / "scores");
+  fs::create_directories(dir.path / "zoo" / "scores");
+  const auto copied = core::MuxLinkAttack(opts).run(design.netlist);
+  EXPECT_TRUE(copied.serving.zoo_hit);
+  EXPECT_EQ(copied.serving.bytes_mapped, 0u);
+  EXPECT_EQ(copied.serving.cache_hits, 0u);
+  expect_same_attack_result(cold, copied, "copied");
 
   // A corrupted blob falls back to training (and repairs the entry), never
   // to a wrong answer.

@@ -21,13 +21,9 @@
 //
 // stdout is always the compact single-line manifest; --report additionally
 // writes it pretty-printed to F.
-#include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <thread>
-#include <vector>
 
 #include "circuitgen/suites.h"
 #include "common/cpu_features.h"
@@ -36,7 +32,6 @@
 #include "locking/mux_lock.h"
 #include "muxlink/attack.h"
 #include "tools/cli_args.h"
-#include "zoo/registry.h"
 
 namespace {
 
@@ -51,22 +46,6 @@ bool same_scores(const core::MuxLinkResult& a, const core::MuxLinkResult& b) {
     }
   }
   return true;
-}
-
-// Hot-entry probe microbenchmark: N threads hammer Registry::find() on the
-// one key every warm job starts from. Without bump coalescing every hit
-// rewrites the blob's mtime, so the threads serialize on the inode; with
-// MUXLINK_ZOO_BUMP_WINDOW_MS set only the first hit per window pays.
-double probe_seconds(const zoo::Registry& reg, const std::string& key, int threads, int rounds) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < rounds; ++i) (void)reg.find(key);
-    });
-  }
-  for (auto& w : workers) w.join();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 }  // namespace
@@ -109,18 +88,6 @@ int main(int argc, char** argv) {
     std::filesystem::create_directories(zoo_dir / "scores");
     const auto fresh = core::MuxLinkAttack(opts).run(locked.netlist);
 
-    // Concurrent zoo-probe before/after: the same hot entry hit by 8
-    // threads with per-find mtime bumps vs the coalesced read-mostly path.
-    constexpr int kProbeThreads = 8;
-    constexpr int kProbeRounds = 200;
-    const zoo::Registry reg(zoo_dir);
-    const double probe_serialized =
-        probe_seconds(reg, cold.serving.zoo_key, kProbeThreads, kProbeRounds);
-    ::setenv("MUXLINK_ZOO_BUMP_WINDOW_MS", "1000", 1);
-    const double probe_coalesced =
-        probe_seconds(reg, cold.serving.zoo_key, kProbeThreads, kProbeRounds);
-    ::unsetenv("MUXLINK_ZOO_BUMP_WINDOW_MS");
-
     std::filesystem::remove_all(zoo_dir);
 
     const bool identical = same_scores(cold, warm) && same_scores(cold, fresh);
@@ -139,10 +106,6 @@ int main(int argc, char** argv) {
     m.add_stage("warm_total", warm.total_seconds);
     m.add_stage("warm_score", warm.score_seconds);
     m.add_stage("fresh_total", fresh.total_seconds);
-    m.add_stage("probe_serialized", probe_serialized);
-    m.add_stage("probe_coalesced", probe_coalesced);
-    m.add_result("probe_coalesce_speedup",
-                 probe_coalesced > 0.0 ? probe_serialized / probe_coalesced : 0.0);
     m.add_result("warm_speedup", speedup);
     m.add_result("min_speedup", min_speedup);
     m.add_result("bit_identical", identical ? 1.0 : 0.0);

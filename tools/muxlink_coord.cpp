@@ -8,8 +8,8 @@
 // coordinator: per-backend health heartbeats with a three-state circuit
 // breaker, retry with decorrelated-jitter backoff, failover re-dispatch,
 // and graceful degradation to local in-process execution. The spec is built
-// as `muxlink submit` builds it (parsed netlist name, rewritten BENCH), so a
-// job's manifest is byte-identical to `muxlink submit --wait --report`.
+// by the same code as `muxlink submit` builds it (tools/job_spec_args.h), so
+// a job's manifest is byte-identical to `muxlink submit --wait --report`.
 // Results are byte-identical to running the same job anywhere else (the
 // deterministic job contract), so retries and failover never change output.
 //
@@ -28,8 +28,8 @@
 #include "common/json.h"
 #include "fleet/coordinator.h"
 #include "muxlink/job.h"
-#include "netlist/bench_io.h"
 #include "tools/cli_args.h"
+#include "tools/job_spec_args.h"
 
 namespace {
 
@@ -126,23 +126,13 @@ int main(int argc, char** argv) {
 
     if (args.positional().empty()) return usage();
 
+    // Built and validated exactly as `muxlink submit` does it: a bad spec
+    // is a usage error before anything is dispatched.
     std::vector<core::AttackJobSpec> specs;
+    const std::string attack_name = args.get_or("attack", "muxlink");
     for (const std::string& path : args.positional()) {
-      core::AttackJobSpec spec;
-      spec.attack = args.get_or("attack", "muxlink");
-      const netlist::Netlist locked = netlist::read_bench_file(path);
-      spec.circuit = locked.name();
-      spec.bench = netlist::write_bench(locked);
-      spec.hops = static_cast<int>(args.get_long("hops", 3));
-      if (spec.attack == "muxlink") spec.threshold = args.get_double("th", 0.01);
-      spec.epochs = static_cast<int>(args.get_long("epochs", 30));
-      spec.learning_rate = args.get_double("lr", 1e-3);
-      spec.max_train_links = static_cast<std::size_t>(args.get_long("links", 100000));
-      spec.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-      spec.scheme = args.get_or("scheme", "");
-      spec.use_zoo = args.has("zoo") || args.has("zoo-dir");
-      spec.zoo_dir = args.get_or("zoo-dir", "");
-      specs.push_back(std::move(spec));
+      specs.push_back(tools::spec_from_args(args, attack_name, tools::read_design(path)));
+      (void)core::job_options(specs.back());
     }
 
     fleet::FleetCoordinator coord(fopts);
