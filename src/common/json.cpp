@@ -27,7 +27,13 @@ bool Json::operator==(const Json& other) const noexcept {
 }
 
 void json_escape(std::string_view text, std::string& out) {
-  for (unsigned char c : text) {
+  // Bytes that need no escape are copied in runs; `run` starts the current one.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -36,16 +42,14 @@ void json_escape(std::string_view text, std::string& out) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(text, run, text.size() - run);
 }
 
 namespace {
@@ -174,9 +178,15 @@ class Parser {
   }
 
   Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    switch (const char c = peek()) {
+      case '{':
+      case '[': {
+        // Bounded, so a frame of nested brackets cannot exhaust the stack.
+        if (++depth_ > kMaxDepth) fail("nesting deeper than " + std::to_string(kMaxDepth));
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -229,13 +239,14 @@ class Parser {
   std::string parse_string() {
     expect('"');
     std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+    for (;;) {
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\') ++stop;
+      out.append(text_, pos_, stop - pos_);
+      pos_ = stop;
+      if (pos_ == text_.size()) fail("unterminated string");
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -275,7 +286,6 @@ class Parser {
         default: fail("invalid escape");
       }
     }
-    fail("unterminated string");
   }
 
   Json parse_number() {
@@ -308,8 +318,11 @@ class Parser {
     return Json(d);
   }
 
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -153,8 +153,8 @@ class Json {
   std::string dump() const;
   std::string dump_pretty() const;
 
-  // Parses a complete JSON document (throws JsonError on malformed input or
-  // trailing garbage).
+  // Parses a complete JSON document (throws JsonError on malformed input,
+  // trailing garbage, or arrays/objects nested more than 512 deep).
   static Json parse(std::string_view text);
 
  private:

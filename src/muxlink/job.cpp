@@ -174,7 +174,10 @@ AttackJobSpec AttackJobSpec::from_json(const common::Json& j) {
   spec.learning_rate = num("learning_rate", spec.learning_rate);
   spec.max_train_links = static_cast<std::size_t>(
       integer("max_train_links", static_cast<std::int64_t>(spec.max_train_links), 0, kCountMax));
-  spec.seed = static_cast<std::uint64_t>(j.int_or("seed", static_cast<std::int64_t>(spec.seed)));
+  // to_json writes seeds >= 2^63 as negative int64, so any integer is valid.
+  spec.seed = static_cast<std::uint64_t>(integer("seed", static_cast<std::int64_t>(spec.seed),
+                                                 std::numeric_limits<std::int64_t>::min(),
+                                                 std::numeric_limits<std::int64_t>::max()));
   spec.scheme = str("scheme", spec.scheme);
   spec.use_zoo = boolean("use_zoo", spec.use_zoo);
   spec.zoo_dir = str("zoo_dir", spec.zoo_dir);

@@ -1,9 +1,11 @@
 #include "netlist/bench_io.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <fstream>
+#include <functional>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "common/fault.h"
@@ -12,9 +14,12 @@
 namespace muxlink::netlist {
 namespace {
 
+// The C locale's isspace set: ' ', '\t', '\n', '\v', '\f', '\r'.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
 std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
 }
 
@@ -22,56 +27,127 @@ std::string_view trim(std::string_view s) {
   throw BenchParseError("BENCH parse error at line " + std::to_string(line_no) + ": " + what);
 }
 
-struct PendingGate {
-  std::string name;
-  GateType type;
-  std::vector<std::string> fanin_names;
-  int line_no;
+constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+// A distinct name in the text and what the passes learned about it.
+struct Symbol {
+  std::string_view name;  // a view into the caller's buffer
+  std::size_t hash;
+  bool input = false;
+  int output_line = 0;       // 0 = not declared as OUTPUT
+  std::uint32_t def = kNone;  // index of the pending gate defining it
+  GateId gate = kNullGate;    // its id once placed in the netlist
 };
 
-// "FUNC(a, b)" -> FUNC + operand names. Returns false if no parentheses.
-bool split_call(std::string_view rhs, std::string_view& func,
-                std::vector<std::string>& operands) {
+// Every distinct name, interned once: an open-addressing table from the
+// name's bytes to a dense symbol id.
+class SymbolTable {
+ public:
+  explicit SymbolTable(std::size_t expected) {
+    std::size_t cap = 64;
+    while (cap < 2 * expected) cap <<= 1;
+    slots_.assign(cap, kNone);
+    symbols_.reserve(expected);
+  }
+
+  std::uint32_t intern(std::string_view name) {
+    if (2 * (symbols_.size() + 1) > slots_.size()) grow();
+    const std::size_t h = std::hash<std::string_view>{}(name);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      const std::uint32_t s = slots_[i];
+      if (s == kNone) {
+        slots_[i] = static_cast<std::uint32_t>(symbols_.size());
+        symbols_.push_back(Symbol{name, h});
+        return slots_[i];
+      }
+      if (symbols_[s].hash == h && symbols_[s].name == name) return s;
+    }
+  }
+
+  Symbol& operator[](std::uint32_t id) { return symbols_[id]; }
+  // The name in quotes, as the diagnostics print it.
+  std::string quoted(std::uint32_t id) const { return "'" + std::string(symbols_[id].name) + "'"; }
+
+ private:
+  void grow() {
+    slots_.assign(2 * slots_.size(), kNone);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t s = 0; s < symbols_.size(); ++s) {
+      std::size_t i = symbols_[s].hash & mask;
+      while (slots_[i] != kNone) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<std::uint32_t> slots_;  // symbol ids, kNone when free
+  std::vector<Symbol> symbols_;
+};
+
+// A gate definition seen by the scan; its operands are
+// operands[first, first + count) of the flat symbol-id array.
+struct PendingGate {
+  std::uint32_t sym;
+  GateType type;
+  int line_no;
+  std::uint32_t first;
+  std::uint32_t count;
+};
+
+// "FUNC(a, b)" -> FUNC, calling `emit` on each non-empty trimmed operand.
+// Returns false if no parentheses.
+template <typename Emit>
+bool split_call(std::string_view rhs, std::string_view& func, Emit&& emit) {
   const auto open = rhs.find('(');
   const auto close = rhs.rfind(')');
   if (open == std::string_view::npos || close == std::string_view::npos || close < open) {
     return false;
   }
   func = trim(rhs.substr(0, open));
-  operands.clear();
   std::string_view args = rhs.substr(open + 1, close - open - 1);
-  std::size_t start = 0;
-  while (start <= args.size()) {
-    const auto comma = args.find(',', start);
-    std::string_view tok = comma == std::string_view::npos ? args.substr(start)
-                                                           : args.substr(start, comma - start);
-    tok = trim(tok);
-    if (!tok.empty()) operands.emplace_back(tok);
+  for (;;) {
+    const auto comma = args.find(',');
+    const std::string_view tok = trim(args.substr(0, comma));
+    if (!tok.empty()) emit(tok);
     if (comma == std::string_view::npos) break;
-    start = comma + 1;
+    args.remove_prefix(comma + 1);
+  }
+  return true;
+}
+
+bool iequals(std::string_view a, std::string_view upper) {
+  if (a.size() != upper.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::toupper(static_cast<unsigned char>(a[i])) != upper[i]) return false;
   }
   return true;
 }
 
 }  // namespace
 
+// One scan over the caller's buffer interns every name, then the passes
+// below run over symbol ids. They run in the order the diagnostics are
+// specified: scan errors, INPUT redefinitions and duplicate definitions,
+// undefined signals, placement (arity), loops, OUTPUT resolution.
 Netlist parse_bench(std::string_view text, std::string name) {
-  Netlist nl(std::move(name));
-  std::vector<PendingGate> pending;
-  std::vector<std::pair<std::string, int>> output_names;
-  std::unordered_map<std::string, int> output_first_line;
-
   // Real-world corpus quirks accepted up front: a UTF-8 BOM prefix (files
   // exported from Windows editors) is skipped; CRLF line endings and a
-  // final `#` comment with no trailing newline fall out of trim()/getline.
+  // final `#` comment with no trailing newline fall out of trim() and the
+  // split on '\n'.
   if (text.starts_with("\xEF\xBB\xBF")) text.remove_prefix(3);
 
-  std::istringstream in{std::string(text)};
-  std::string raw;
+  SymbolTable syms(std::min<std::size_t>(text.size() / 16, std::size_t{1} << 16));
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::pair<std::uint32_t, int>> outputs;
+  std::vector<PendingGate> pending;
+  std::vector<std::uint32_t> operands;
+
   int line_no = 0;
-  while (std::getline(in, raw)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const auto end = std::min(text.find('\n', pos), text.size());
+    std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
     ++line_no;
-    std::string_view line = raw;
     if (const auto hash = line.find('#'); hash != std::string_view::npos) {
       line = line.substr(0, hash);
     }
@@ -80,24 +156,26 @@ Netlist parse_bench(std::string_view text, std::string name) {
 
     const auto eq = line.find('=');
     std::string_view func;
-    std::vector<std::string> operands;
     if (eq == std::string_view::npos) {
-      if (!split_call(line, func, operands)) fail(line_no, "expected INPUT/OUTPUT/assignment");
-      std::string upper;
-      for (char c : func) upper.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-      if (operands.size() != 1) fail(line_no, "INPUT/OUTPUT takes exactly one name");
-      if (upper == "INPUT") {
-        if (nl.contains(operands[0])) {
-          fail(line_no, "duplicate INPUT declaration of '" + operands[0] + "'");
+      std::size_t count = 0;
+      std::uint32_t sym = kNone;
+      const bool call = split_call(line, func, [&](std::string_view tok) {
+        if (count++ == 0) sym = syms.intern(tok);
+      });
+      if (!call) fail(line_no, "expected INPUT/OUTPUT/assignment");
+      if (count != 1) fail(line_no, "INPUT/OUTPUT takes exactly one name");
+      if (iequals(func, "INPUT")) {
+        if (syms[sym].input) fail(line_no, "duplicate INPUT declaration of " + syms.quoted(sym));
+        syms[sym].input = true;
+        inputs.push_back(sym);
+      } else if (iequals(func, "OUTPUT")) {
+        if (syms[sym].output_line != 0) {
+          fail(line_no, "duplicate OUTPUT declaration of " + syms.quoted(sym) +
+                            " (first declared at line " + std::to_string(syms[sym].output_line) +
+                            ")");
         }
-        nl.add_input(operands[0]);
-      } else if (upper == "OUTPUT") {
-        const auto [it, inserted] = output_first_line.emplace(operands[0], line_no);
-        if (!inserted) {
-          fail(line_no, "duplicate OUTPUT declaration of '" + operands[0] +
-                            "' (first declared at line " + std::to_string(it->second) + ")");
-        }
-        output_names.emplace_back(operands[0], line_no);
+        syms[sym].output_line = line_no;
+        outputs.emplace_back(sym, line_no);
       } else {
         fail(line_no, "unknown directive '" + std::string(func) + "'");
       }
@@ -107,65 +185,89 @@ Netlist parse_bench(std::string_view text, std::string name) {
     const std::string_view lhs = trim(line.substr(0, eq));
     const std::string_view rhs = trim(line.substr(eq + 1));
     if (lhs.empty()) fail(line_no, "empty signal name");
-    if (!split_call(rhs, func, operands)) fail(line_no, "expected FUNC(args)");
+    const auto first = static_cast<std::uint32_t>(operands.size());
+    const auto operand = [&](std::string_view tok) { operands.push_back(syms.intern(tok)); };
+    if (!split_call(rhs, func, operand)) fail(line_no, "expected FUNC(args)");
     const auto type = gate_type_from_string(func);
     if (!type) fail(line_no, "unknown gate function '" + std::string(func) + "'");
     if (*type == GateType::kInput) fail(line_no, "INPUT cannot appear on an assignment");
-    pending.push_back(PendingGate{std::string(lhs), *type, std::move(operands), line_no});
+    pending.push_back(PendingGate{syms.intern(lhs), *type, line_no, first,
+                                  static_cast<std::uint32_t>(operands.size()) - first});
   }
 
   // Gate definitions may be in any order: resolve with a Kahn-style pass
   // over the pending definitions (the netlist builder needs fanin ids to
   // exist). A stall means an undefined signal or a combinational loop.
-  std::unordered_map<std::string, std::size_t> pending_by_name;
-  pending_by_name.reserve(pending.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (nl.contains(pending[i].name)) fail(pending[i].line_no, "redefinition of an INPUT");
-    if (!pending_by_name.emplace(pending[i].name, i).second) {
-      fail(pending[i].line_no, "duplicate definition of '" + pending[i].name + "'");
+  const std::size_t n_pending = pending.size();
+  for (std::uint32_t i = 0; i < n_pending; ++i) {
+    Symbol& sym = syms[pending[i].sym];
+    if (sym.input) fail(pending[i].line_no, "redefinition of an INPUT");
+    if (sym.def != kNone) {
+      fail(pending[i].line_no, "duplicate definition of " + syms.quoted(pending[i].sym));
     }
+    sym.def = i;
   }
-  std::vector<std::vector<std::size_t>> dependents(pending.size());
-  std::vector<std::size_t> unresolved(pending.size(), 0);
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    for (const std::string& fn : pending[i].fanin_names) {
-      if (auto it = pending_by_name.find(fn); it != pending_by_name.end()) {
-        dependents[it->second].push_back(i);
+  // Dependents as CSR: dep_begin[j] .. dep_begin[j + 1] lists, in pending
+  // order and once per operand occurrence, the gates that read gate j.
+  std::vector<std::uint32_t> unresolved(n_pending, 0);
+  std::vector<std::uint32_t> dep_begin(n_pending + 1, 0);
+  std::vector<std::uint32_t> ready;
+  ready.reserve(n_pending);
+  for (std::uint32_t i = 0; i < n_pending; ++i) {
+    const PendingGate& pg = pending[i];
+    for (std::uint32_t k = pg.first; k < pg.first + pg.count; ++k) {
+      const Symbol& op = syms[operands[k]];
+      if (op.def != kNone) {
+        ++dep_begin[op.def + 1];
         ++unresolved[i];
-      } else if (!nl.contains(fn)) {
-        fail(pending[i].line_no, "undefined signal '" + fn + "'");
+      } else if (!op.input) {
+        fail(pg.line_no, "undefined signal " + syms.quoted(operands[k]));
       }
     }
     if (unresolved[i] == 0) ready.push_back(i);
   }
-  std::size_t placed = 0;
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    const PendingGate& pg = pending[ready[head]];
-    std::vector<GateId> fanins;
-    fanins.reserve(pg.fanin_names.size());
-    for (const std::string& fn : pg.fanin_names) fanins.push_back(nl.find(fn));
-    try {
-      nl.add_gate(pg.name, pg.type, std::move(fanins));
-    } catch (const NetlistError& e) {
-      fail(pg.line_no, e.what());
-    }
-    ++placed;
-    for (std::size_t dep : dependents[ready[head]]) {
-      if (--unresolved[dep] == 0) ready.push_back(dep);
-    }
-  }
-  if (placed != pending.size()) {
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (!nl.contains(pending[i].name)) {
-        fail(pending[i].line_no, "combinational loop involving '" + pending[i].name + "'");
+  for (std::size_t j = 0; j < n_pending; ++j) dep_begin[j + 1] += dep_begin[j];
+  std::vector<std::uint32_t> dependents(dep_begin[n_pending]);
+  {
+    std::vector<std::uint32_t> fill(dep_begin.begin(), dep_begin.end() - 1);
+    for (std::uint32_t i = 0; i < n_pending; ++i) {
+      const PendingGate& pg = pending[i];
+      for (std::uint32_t k = pg.first; k < pg.first + pg.count; ++k) {
+        if (const std::uint32_t d = syms[operands[k]].def; d != kNone) dependents[fill[d]++] = i;
       }
     }
   }
 
-  for (const auto& [oname, oline] : output_names) {
-    const GateId o = nl.find(oname);
-    if (o == kNullGate) fail(oline, "OUTPUT names undefined signal '" + oname + "'");
+  // Inputs take ids 0..I-1 in declaration order; assignments follow in
+  // placement order.
+  Netlist nl(std::move(name));
+  nl.reserve(inputs.size() + n_pending);
+  for (std::uint32_t s : inputs) syms[s].gate = nl.add_input(std::string(syms[s].name));
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    const PendingGate& pg = pending[ready[head]];
+    std::vector<GateId> fanins(pg.count);
+    for (std::uint32_t k = 0; k < pg.count; ++k) fanins[k] = syms[operands[pg.first + k]].gate;
+    Symbol& sym = syms[pg.sym];
+    try {
+      sym.gate = nl.add_gate(std::string(sym.name), pg.type, std::move(fanins));
+    } catch (const NetlistError& e) {
+      fail(pg.line_no, e.what());
+    }
+    for (std::uint32_t d = dep_begin[ready[head]]; d < dep_begin[ready[head] + 1]; ++d) {
+      if (--unresolved[dependents[d]] == 0) ready.push_back(dependents[d]);
+    }
+  }
+  if (ready.size() != n_pending) {
+    for (const PendingGate& pg : pending) {
+      if (syms[pg.sym].gate == kNullGate) {
+        fail(pg.line_no, "combinational loop involving " + syms.quoted(pg.sym));
+      }
+    }
+  }
+
+  for (const auto& [sym, oline] : outputs) {
+    const GateId o = syms[sym].gate;
+    if (o == kNullGate) fail(oline, "OUTPUT names undefined signal " + syms.quoted(sym));
     nl.mark_output(o);
   }
   nl.validate();
@@ -182,22 +284,33 @@ Netlist read_bench_file(const std::filesystem::path& path) {
 }
 
 std::string write_bench(const Netlist& nl) {
-  std::ostringstream os;
-  os << "# " << nl.name() << " — emitted by muxlink\n";
-  for (GateId i : nl.inputs()) os << "INPUT(" << nl.gate(i).name << ")\n";
-  for (GateId o : nl.outputs()) os << "OUTPUT(" << nl.gate(o).name << ")\n";
-  os << '\n';
+  std::string out;
+  out.reserve(64 + nl.name().size() + 32 * nl.num_gates());
+  const auto line = [&](std::string_view directive, GateId g) {
+    out += directive;
+    out += nl.gate(g).name;
+    out += ")\n";
+  };
+  out += "# ";
+  out += nl.name();
+  out += " — emitted by muxlink\n";
+  for (GateId i : nl.inputs()) line("INPUT(", i);
+  for (GateId o : nl.outputs()) line("OUTPUT(", o);
+  out += '\n';
   for (GateId g : topological_order(nl)) {
     const Gate& gate = nl.gate(g);
     if (gate.type == GateType::kInput) continue;
-    os << gate.name << " = " << to_string(gate.type) << '(';
+    out += gate.name;
+    out += " = ";
+    out += to_string(gate.type);
+    out += '(';
     for (std::size_t i = 0; i < gate.fanins.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << nl.gate(gate.fanins[i]).name;
+      if (i > 0) out += ", ";
+      out += nl.gate(gate.fanins[i]).name;
     }
-    os << ")\n";
+    out += ")\n";
   }
-  return os.str();
+  return out;
 }
 
 void write_bench_file(const Netlist& nl, const std::filesystem::path& path) {

@@ -15,19 +15,30 @@ void Netlist::check_arity(GateType type, std::size_t n, const std::string& name)
 
 GateId Netlist::add_gate(std::string name, GateType type, std::vector<GateId> fanins) {
   if (name.empty()) throw NetlistError("gate name must not be empty");
-  if (by_name_.contains(name)) throw NetlistError("duplicate gate name '" + name + "'");
-  check_arity(type, fanins.size(), name);
-  for (GateId f : fanins) {
-    if (f >= gates_.size()) {
-      throw NetlistError("gate '" + name + "': dangling fanin id " + std::to_string(f));
-    }
-  }
   const GateId id = static_cast<GateId>(gates_.size());
-  by_name_.emplace(name, id);
+  // One probe inserts the name; a failed check below takes it back out.
+  const auto [slot, inserted] = by_name_.try_emplace(name, id);
+  if (!inserted) throw NetlistError("duplicate gate name '" + name + "'");
+  try {
+    check_arity(type, fanins.size(), name);
+    for (GateId f : fanins) {
+      if (f >= gates_.size()) {
+        throw NetlistError("gate '" + name + "': dangling fanin id " + std::to_string(f));
+      }
+    }
+  } catch (...) {
+    by_name_.erase(slot);
+    throw;
+  }
   if (type == GateType::kInput) inputs_.push_back(id);
   gates_.push_back(Gate{std::move(name), type, std::move(fanins)});
   invalidate_caches();
   return id;
+}
+
+void Netlist::reserve(std::size_t n) {
+  gates_.reserve(n);
+  by_name_.reserve(n);
 }
 
 void Netlist::mark_output(GateId id) {
@@ -44,7 +55,7 @@ bool Netlist::is_output(GateId id) const {
 }
 
 GateId Netlist::find(std::string_view name) const noexcept {
-  auto it = by_name_.find(std::string(name));
+  auto it = by_name_.find(name);
   return it == by_name_.end() ? kNullGate : it->second;
 }
 

@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -46,6 +47,8 @@ class Netlist {
   // duplicate name, arity violation, or dangling fanin id.
   GateId add_gate(std::string name, GateType type, std::vector<GateId> fanins);
   GateId add_input(std::string name) { return add_gate(std::move(name), GateType::kInput, {}); }
+  // Reserves room for `n` gates in the gate list and the name index.
+  void reserve(std::size_t n);
   // Marks an existing gate as a primary output (idempotent).
   void mark_output(GateId id);
   void unmark_output(GateId id);
@@ -92,6 +95,14 @@ class Netlist {
   void validate() const;
 
  private:
+  // Transparent, so find(string_view) probes without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   void check_arity(GateType type, std::size_t n, const std::string& name) const;
   void invalidate_caches() noexcept { fanouts_valid_ = false; }
 
@@ -99,7 +110,7 @@ class Netlist {
   std::vector<Gate> gates_;
   std::vector<GateId> inputs_;
   std::vector<GateId> outputs_;
-  std::unordered_map<std::string, GateId> by_name_;
+  std::unordered_map<std::string, GateId, NameHash, std::equal_to<>> by_name_;
 
   mutable bool fanouts_valid_ = false;
   mutable std::vector<std::vector<FanoutRef>> fanouts_;

@@ -6,7 +6,8 @@
 //   c<circuit>-<scheme>-h<hops>-f<dim>-s<seed>-t<config>-m<member>
 //
 //   circuit  fnv1a64 over the canonical BENCH text of the locked netlist
-//            (netlist::write_bench), 16 hex digits — content, not filename
+//            (netlist::write_bench), 16 hex digits; its header line carries
+//            the netlist name, so the same gates under another name miss
 //   scheme   locking scheme label ("none" when untracked)
 //   hops     enclosing-subgraph radius h
 //   dim      node feature dimension

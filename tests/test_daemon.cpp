@@ -225,6 +225,28 @@ TEST(JobSpec, RejectsUnknownKeysAttacksAndTypes) {
   EXPECT_EQ(edge.hops, 1);
   EXPECT_EQ(edge.max_train_links, 0u);
   EXPECT_EQ(edge.hd_patterns, 0u);
+
+  // The seed must be a JSON integer: a string, bool or fraction is refused,
+  // not read as a fallback or truncated, and 1e300 never reaches a cast.
+  for (const common::Json& value :
+       {common::Json("7"), common::Json(true), common::Json(2.7), common::Json(1e300),
+        common::Json(7.0)}) {
+    common::Json bad = spec.to_json();
+    bad["seed"] = value;
+    EXPECT_THROW(core::AttackJobSpec::from_json(bad), std::invalid_argument)
+        << "seed = " << value.dump();
+  }
+  // to_json writes seeds >= 2^63 as negative int64; they read back exactly.
+  core::AttackJobSpec big = spec;
+  big.seed = ~std::uint64_t{0};
+  EXPECT_EQ(core::AttackJobSpec::from_json(common::Json::parse(big.to_json().dump())).seed,
+            ~std::uint64_t{0});
+  EXPECT_EQ(core::AttackJobSpec::from_json(
+                common::Json::parse(R"j({"bench":"INPUT(a)","seed":-1})j")).seed,
+            ~std::uint64_t{0});
+  EXPECT_EQ(core::AttackJobSpec::from_json(
+                common::Json::parse(R"j({"bench":"INPUT(a)","seed":7})j")).seed,
+            7u);
 }
 
 // --- results spool retention + recovery (DESIGN.md §14) --------------------

@@ -252,6 +252,105 @@ TEST_F(MetricsTest, JsonNumberRoundTrip) {
   EXPECT_EQ(j, back);
 }
 
+// --- JSON strings: the escaper and the decoder copy unescaped runs in bulk;
+// these pin the bytes they produce and the exact error texts.
+
+// The escaping rule, one byte at a time: the specification of json_escape.
+std::string escaped_byte(unsigned char c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\b': return "\\b";
+    case '\f': return "\\f";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default:
+      if (c >= 0x20) return std::string(1, static_cast<char>(c));
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      return buf;
+  }
+}
+
+TEST(JsonStrings, AllByteValuesRoundTrip) {
+  std::string all, want;
+  for (int c = 0; c < 256; ++c) {
+    const std::string one(1, static_cast<char>(c));
+    EXPECT_EQ(mc::Json(one).dump(), "\"" + escaped_byte(static_cast<unsigned char>(c)) + "\"")
+        << "byte " << c;
+    EXPECT_EQ(mc::Json::parse(mc::Json(one).dump()).as_string(), one) << "byte " << c;
+    all += one;
+    want += escaped_byte(static_cast<unsigned char>(c));
+  }
+  // Runs of plain bytes between escapes, and the same inside an object.
+  const std::string mixed = "plain run \"quoted\" back\\slash\x01tail" + all + all;
+  mc::Json obj = mc::Json::object();
+  obj["bench"] = mixed;
+  obj["all"] = all;
+  EXPECT_EQ(mc::Json(all).dump(), "\"" + want + "\"");
+  const mc::Json back = mc::Json::parse(obj.dump());
+  EXPECT_EQ(back.at("bench").as_string(), mixed);
+  EXPECT_EQ(back.at("all").as_string(), all);
+  EXPECT_EQ(back, obj);
+  std::string escaped;
+  mc::json_escape(mixed, escaped);
+  EXPECT_EQ(escaped, "plain run \\\"quoted\\\" back\\\\slash\\u0001tail" + want + want);
+}
+
+TEST(JsonStrings, EveryEscapeDecodes) {
+  EXPECT_EQ(mc::Json::parse(R"("\"\\\/\b\f\n\r\t")").as_string(), "\"\\/\b\f\n\r\t");
+  EXPECT_EQ(mc::Json::parse(R"("a\/b")").as_string(), "a/b");
+  EXPECT_EQ(mc::Json::parse(R"("x\u0041y\u00e9\u20AC")").as_string(), "xAy\xC3\xA9\xE2\x82\xAC");
+  for (unsigned c = 0; c < 256; ++c) {
+    char hex[8];
+    std::snprintf(hex, sizeof hex, "%02X", c);
+    const std::string text = std::string("\"run\\u00") + hex + "run\"";
+    std::string want = "run";
+    if (c < 0x80) {
+      want += static_cast<char>(c);
+    } else {
+      want += static_cast<char>(0xC0 | (c >> 6));
+      want += static_cast<char>(0x80 | (c & 0x3F));
+    }
+    want += "run";
+    EXPECT_EQ(mc::Json::parse(text).as_string(), want) << text;
+  }
+}
+
+TEST(JsonStrings, ErrorMessagesAndOffsetsArePinned) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"abc", "JSON parse error at offset 4: unterminated string"},
+      {"{\"k\":\"a long unterminated run", "JSON parse error at offset 29: unterminated string"},
+      {"\"", "JSON parse error at offset 1: unterminated string"},
+      {"\"ab\\", "JSON parse error at offset 4: unterminated escape"},
+      {"\"\\u12x4\"", "JSON parse error at offset 6: invalid \\u escape"},
+      {"\"\\u12", "JSON parse error at offset 3: truncated \\u escape"},
+      {"\"ok\\q\"", "JSON parse error at offset 5: invalid escape"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      mc::Json::parse(text);
+      ADD_FAILURE() << "parsed: " << text;
+    } catch (const mc::JsonError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << text;
+    }
+  }
+}
+
+TEST(JsonDepth, DeepNestingThrowsInsteadOfExhaustingTheStack) {
+  EXPECT_EQ(mc::Json::parse(std::string(512, '[') + std::string(512, ']')).size(), 1u);
+  try {
+    mc::Json::parse(std::string(513, '[') + std::string(513, ']'));
+    ADD_FAILURE() << "parsed 513 levels";
+  } catch (const mc::JsonError& e) {
+    EXPECT_EQ(std::string(e.what()), "JSON parse error at offset 512: nesting deeper than 512");
+  }
+  // A megabyte of brackets used to recurse once per byte and crash.
+  EXPECT_THROW(mc::Json::parse(std::string(1 << 20, '[')), mc::JsonError);
+  EXPECT_THROW(mc::Json::parse(std::string(1 << 20, '{')), mc::JsonError);
+}
+
 TEST_F(MetricsTest, JsonlWriterAppends) {
   const std::string path = ::testing::TempDir() + "/muxlink_test_telemetry.jsonl";
   std::remove(path.c_str());

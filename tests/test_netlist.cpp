@@ -3,8 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <random>
 #include <sstream>
+#include <typeinfo>
+#include <unordered_map>
 
+#include "circuitgen/suites.h"
+#include "locking/mux_lock.h"
+#include "locking/schemes.h"
 #include "netlist/analysis.h"
 #include "netlist/bench_io.h"
 #include "netlist/gate_type.h"
@@ -111,6 +120,30 @@ TEST(Netlist, RejectsDanglingFanin) {
   Netlist nl;
   nl.add_input("a");
   EXPECT_THROW(nl.add_gate("g", GateType::kNot, {42}), NetlistError);
+}
+
+// Error precedence: empty name, then duplicate, then arity, then dangling
+// fanin. A rejected gate leaves no trace in the name index.
+TEST(Netlist, AddGateErrorPrecedenceAndRollback) {
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const auto message = [&](const std::string& name, GateType type, std::vector<GateId> fanins) {
+    try {
+      nl.add_gate(name, type, std::move(fanins));
+    } catch (const NetlistError& e) {
+      return std::string(e.what());
+    }
+    return std::string("added");
+  };
+  EXPECT_EQ(message("", GateType::kAnd, {42}), "gate name must not be empty");
+  EXPECT_EQ(message("a", GateType::kAnd, {42}), "duplicate gate name 'a'");
+  EXPECT_EQ(message("g", GateType::kAnd, {42}), "gate 'g': AND cannot take 1 fanins");
+  EXPECT_EQ(message("g", GateType::kNot, {42}), "gate 'g': dangling fanin id 42");
+  EXPECT_FALSE(nl.contains("g"));
+  EXPECT_EQ(nl.num_gates(), 1u);
+  EXPECT_NO_THROW(nl.validate());
+  EXPECT_EQ(message("g", GateType::kNot, {a}), "added");
+  EXPECT_EQ(nl.find("g"), 1u);
 }
 
 TEST(Netlist, MarkOutputIsIdempotent) {
@@ -505,6 +538,301 @@ TEST(BenchIO, FileRoundTrip) {
   const Netlist back = read_bench_file(path);
   EXPECT_EQ(back.num_gates(), nl.num_gates());
   std::filesystem::remove(path);
+}
+
+// --- differential test against the previous parser -------------------------
+//
+// `oracle::parse_bench` is the istringstream/getline parser that
+// parse_bench replaced, kept verbatim as the specification of its output
+// and diagnostics. Both parsers must agree on every input: the same gates,
+// types, fanins, inputs and outputs, or the same exception type and message.
+
+namespace oracle {
+
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
+  return s;
+}
+
+[[noreturn]] void fail(int line_no, const std::string& what) {
+  throw BenchParseError("BENCH parse error at line " + std::to_string(line_no) + ": " + what);
+}
+
+struct PendingGate {
+  std::string name;
+  GateType type;
+  std::vector<std::string> fanin_names;
+  int line_no;
+};
+
+bool split_call(std::string_view rhs, std::string_view& func,
+                std::vector<std::string>& operands) {
+  const auto open = rhs.find('(');
+  const auto close = rhs.rfind(')');
+  if (open == std::string_view::npos || close == std::string_view::npos || close < open) {
+    return false;
+  }
+  func = trim(rhs.substr(0, open));
+  operands.clear();
+  std::string_view args = rhs.substr(open + 1, close - open - 1);
+  std::size_t start = 0;
+  while (start <= args.size()) {
+    const auto comma = args.find(',', start);
+    std::string_view tok = comma == std::string_view::npos ? args.substr(start)
+                                                           : args.substr(start, comma - start);
+    tok = trim(tok);
+    if (!tok.empty()) operands.emplace_back(tok);
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
+  }
+  return true;
+}
+
+Netlist parse_bench(std::string_view text, std::string name) {
+  Netlist nl(std::move(name));
+  std::vector<PendingGate> pending;
+  std::vector<std::pair<std::string, int>> output_names;
+  std::unordered_map<std::string, int> output_first_line;
+
+  if (text.starts_with("\xEF\xBB\xBF")) text.remove_prefix(3);
+
+  std::istringstream in{std::string(text)};
+  std::string raw;
+  int line_no = 0;
+  while (std::getline(in, raw)) {
+    ++line_no;
+    std::string_view line = raw;
+    if (const auto hash = line.find('#'); hash != std::string_view::npos) {
+      line = line.substr(0, hash);
+    }
+    line = trim(line);
+    if (line.empty()) continue;
+
+    const auto eq = line.find('=');
+    std::string_view func;
+    std::vector<std::string> operands;
+    if (eq == std::string_view::npos) {
+      if (!split_call(line, func, operands)) fail(line_no, "expected INPUT/OUTPUT/assignment");
+      std::string upper;
+      for (char c : func) upper.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
+      if (operands.size() != 1) fail(line_no, "INPUT/OUTPUT takes exactly one name");
+      if (upper == "INPUT") {
+        if (nl.contains(operands[0])) {
+          fail(line_no, "duplicate INPUT declaration of '" + operands[0] + "'");
+        }
+        nl.add_input(operands[0]);
+      } else if (upper == "OUTPUT") {
+        const auto [it, inserted] = output_first_line.emplace(operands[0], line_no);
+        if (!inserted) {
+          fail(line_no, "duplicate OUTPUT declaration of '" + operands[0] +
+                            "' (first declared at line " + std::to_string(it->second) + ")");
+        }
+        output_names.emplace_back(operands[0], line_no);
+      } else {
+        fail(line_no, "unknown directive '" + std::string(func) + "'");
+      }
+      continue;
+    }
+
+    const std::string_view lhs = trim(line.substr(0, eq));
+    const std::string_view rhs = trim(line.substr(eq + 1));
+    if (lhs.empty()) fail(line_no, "empty signal name");
+    if (!split_call(rhs, func, operands)) fail(line_no, "expected FUNC(args)");
+    const auto type = gate_type_from_string(func);
+    if (!type) fail(line_no, "unknown gate function '" + std::string(func) + "'");
+    if (*type == GateType::kInput) fail(line_no, "INPUT cannot appear on an assignment");
+    pending.push_back(PendingGate{std::string(lhs), *type, std::move(operands), line_no});
+  }
+
+  std::unordered_map<std::string, std::size_t> pending_by_name;
+  pending_by_name.reserve(pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    if (nl.contains(pending[i].name)) fail(pending[i].line_no, "redefinition of an INPUT");
+    if (!pending_by_name.emplace(pending[i].name, i).second) {
+      fail(pending[i].line_no, "duplicate definition of '" + pending[i].name + "'");
+    }
+  }
+  std::vector<std::vector<std::size_t>> dependents(pending.size());
+  std::vector<std::size_t> unresolved(pending.size(), 0);
+  std::vector<std::size_t> ready;
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    for (const std::string& fn : pending[i].fanin_names) {
+      if (auto it = pending_by_name.find(fn); it != pending_by_name.end()) {
+        dependents[it->second].push_back(i);
+        ++unresolved[i];
+      } else if (!nl.contains(fn)) {
+        fail(pending[i].line_no, "undefined signal '" + fn + "'");
+      }
+    }
+    if (unresolved[i] == 0) ready.push_back(i);
+  }
+  std::size_t placed = 0;
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    const PendingGate& pg = pending[ready[head]];
+    std::vector<GateId> fanins;
+    fanins.reserve(pg.fanin_names.size());
+    for (const std::string& fn : pg.fanin_names) fanins.push_back(nl.find(fn));
+    try {
+      nl.add_gate(pg.name, pg.type, std::move(fanins));
+    } catch (const NetlistError& e) {
+      fail(pg.line_no, e.what());
+    }
+    ++placed;
+    for (std::size_t dep : dependents[ready[head]]) {
+      if (--unresolved[dep] == 0) ready.push_back(dep);
+    }
+  }
+  if (placed != pending.size()) {
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (!nl.contains(pending[i].name)) {
+        fail(pending[i].line_no, "combinational loop involving '" + pending[i].name + "'");
+      }
+    }
+  }
+
+  for (const auto& [oname, oline] : output_names) {
+    const GateId o = nl.find(oname);
+    if (o == kNullGate) fail(oline, "OUTPUT names undefined signal '" + oname + "'");
+    nl.mark_output(o);
+  }
+  nl.validate();
+  return nl;
+}
+
+}  // namespace oracle
+
+// Everything a parse produces, as one comparable string: the netlist's
+// name, inputs, outputs and every gate, or the exception's type and text.
+template <typename Parse>
+std::string parse_outcome(Parse parse, std::string_view text) {
+  try {
+    const Netlist nl = parse(text, "diff");
+    std::string out = nl.name() + "\ninputs:";
+    for (GateId i : nl.inputs()) out += " " + std::to_string(i);
+    out += "\noutputs:";
+    for (GateId o : nl.outputs()) out += " " + std::to_string(o);
+    out += '\n';
+    for (const Gate& g : nl.gates()) {
+      out += g.name;
+      out += ' ';
+      out += to_string(g.type);
+      for (GateId f : g.fanins) out += " " + std::to_string(f);
+      out += '\n';
+    }
+    return out;
+  } catch (const std::exception& e) {
+    return std::string("throw ") + typeid(e).name() + ": " + e.what();
+  }
+}
+
+std::vector<std::string> differential_bases() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(MUXLINK_TEST_CORPUS)) {
+    if (entry.path().extension() == ".bench") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<std::string> bases;
+  for (const auto& f : files) {
+    std::ifstream in(f, std::ios::binary);
+    bases.emplace_back(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  // The shapes a warm served job parses: c432 K=32 and c880 K=64, dmux and
+  // symmetric.
+  for (const auto& [circuit, key_bits] : {std::pair{"c432", 32}, std::pair{"c880", 64}}) {
+    const Netlist original = circuitgen::make_benchmark(circuit, 1.0);
+    for (const char* scheme : {"dmux", "symmetric"}) {
+      locking::MuxLockOptions opts;
+      opts.key_bits = static_cast<std::size_t>(key_bits);
+      opts.seed = 4242;
+      bases.push_back(write_bench(locking::resolve_scheme(scheme)(original, opts).netlist));
+    }
+  }
+  return bases;
+}
+
+// Byte, dictionary, splice and name-swap mutations, one to four per mutant.
+std::string mutate(const std::string& base, const std::vector<std::string>& bases,
+                   std::mt19937_64& rng) {
+  static const std::string kTokens[] = {
+      "INPUT(", "OUTPUT(", "input(", " = ", "=", "(", ")", ",", ", ", "#", "\n", "\r",
+      "\r\n", "\xEF\xBB\xBF", std::string(1, '\0'), "\t", "\v", " ", "AND(", "MUX(",
+      "NOT(", "CONST0()", "INPUT", "BUFF(", "x = AND(x, x)\n", "\nOUTPUT(ghost)\n"};
+  std::string s = base;
+  const int rounds = 1 + static_cast<int>(rng() % 4);
+  for (int r = 0; r < rounds; ++r) {
+    if (s.empty()) s = "\n";
+    const std::size_t pos = rng() % s.size();
+    switch (rng() % 7) {
+      case 0:  // overwrite a byte
+        s[pos] = static_cast<char>(rng() & 0xFF);
+        break;
+      case 1:  // delete a slice
+        s.erase(pos, 1 + rng() % 16);
+        break;
+      case 2:  // insert a dictionary token
+        s.insert(pos, kTokens[rng() % std::size(kTokens)]);
+        break;
+      case 3: {  // copy a slice elsewhere (duplicate definitions, loops)
+        const std::string slice = s.substr(pos, 1 + rng() % 48);
+        s.insert(rng() % (s.size() + 1), slice);
+        break;
+      }
+      case 4: {  // splice in the tail of another input
+        const std::string& other = bases[rng() % bases.size()];
+        s = s.substr(0, pos) + other.substr(rng() % other.size());
+        break;
+      }
+      case 5:  // truncate
+        s.resize(pos);
+        break;
+      case 6: {  // overwrite one name with another (loops, undefined signals)
+        const auto word = [&](std::size_t at) {
+          const auto is_name = [](char c) { return std::isalnum(static_cast<unsigned char>(c)); };
+          std::size_t b = at, e = at;
+          while (b > 0 && is_name(s[b - 1])) --b;
+          while (e < s.size() && is_name(s[e])) ++e;
+          return std::pair{b, e - b};
+        };
+        const auto [from, from_len] = word(rng() % s.size());
+        const auto [to, to_len] = word(pos);
+        if (from_len > 0 && to_len > 0) s.replace(to, to_len, s.substr(from, from_len));
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+TEST(BenchIO, MatchesThePreviousParserOnCorpusLocksAndMutants) {
+  const std::vector<std::string> bases = differential_bases();
+  ASSERT_GE(bases.size(), 9u);
+  std::size_t parsed = 0, mismatches = 0;
+  const auto check = [&](const std::string& text) {
+    const std::string want = parse_outcome(oracle::parse_bench, text);
+    const std::string got = parse_outcome(parse_bench, text);
+    parsed += want.starts_with("throw ") ? 0 : 1;
+    if (got != want && ++mismatches <= 3) {
+      ADD_FAILURE() << "parsers disagree on input:\n"
+                    << text << "\n--- previous parser:\n"
+                    << want.substr(0, 400) << "\n--- parse_bench:\n"
+                    << got.substr(0, 400);
+    }
+  };
+  for (const std::string& b : bases) check(b);
+  EXPECT_EQ(parsed, bases.size());
+  std::mt19937_64 rng(20240);
+  constexpr int kMutants = 20000;
+  std::size_t mutants_parsed = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::size_t before = parsed;
+    check(mutate(bases[rng() % bases.size()], bases, rng));
+    mutants_parsed += parsed - before;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // Both outcomes must be exercised, or the comparison proves little.
+  EXPECT_GT(mutants_parsed, 500u);
+  EXPECT_LT(mutants_parsed, static_cast<std::size_t>(kMutants) - 500);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "circuitgen/generator.h"
+#include "circuitgen/suites.h"
 #include "common/atomic_file.h"
 #include "common/crc32.h"
 #include "common/json.h"
@@ -29,7 +30,9 @@
 #include "gnn/checkpoint.h"
 #include "gnn/dgcnn.h"
 #include "locking/mux_lock.h"
+#include "locking/schemes.h"
 #include "muxlink/attack.h"
+#include "netlist/bench_io.h"
 #include "zoo/model_blob.h"
 #include "zoo/registry.h"
 #include "zoo/score_cache.h"
@@ -592,6 +595,42 @@ TEST(Registry, KeySchemaIsStable) {
             "cdeadbeefcafe0123-dmux-h3-f17-s42-t0123456789abcdef-m2");
   EXPECT_EQ(zoo::fnv1a64(""), zoo::kFnvOffset);
   EXPECT_EQ(zoo::hex64(0), "0000000000000000");
+}
+
+// The circuit part of a zoo key hashes write_bench's bytes, name header
+// included. These values come from the writer that filled existing zoos: a
+// writer change that moves one orphans every stored model, so it needs a
+// versioned key, never silent drift.
+TEST(Registry, CircuitHashesOfWrittenBenchArePinned) {
+  const std::pair<const char*, std::uint64_t> files[] = {
+      {"c17.bench", 0x1cf7dcdb785b54f2ull},
+      {"locked_small.bench", 0xa27cff0f5367df3aull},
+      {"mux_const.bench", 0x278e894fd3950fd4ull},
+      {"quirks_crlf_bom.bench", 0x82f60cbfa4b3dd76ull},
+      {"wide.bench", 0xffeaa0e27eee6db4ull}};
+  for (const auto& [file, hash] : files) {
+    const netlist::Netlist nl = netlist::read_bench_file(fs::path(MUXLINK_TEST_CORPUS) / file);
+    EXPECT_EQ(zoo::fnv1a64(netlist::write_bench(nl)), hash) << file;
+  }
+
+  locking::MuxLockOptions lo;
+  lo.key_bits = 64;
+  lo.seed = 4242;
+  const auto locked =
+      locking::resolve_scheme("dmux")(circuitgen::make_benchmark("c880", 1.0), lo);
+  const std::string text = netlist::write_bench(locked.netlist);
+  EXPECT_EQ(text.size(), 13638u);
+  zoo::ZooKey key;
+  key.circuit_hash = zoo::fnv1a64(text);
+  key.scheme = "dmux";
+  key.hops = 3;
+  key.feature_dim = 17;
+  key.seed = 7;
+  key.config_hash = zoo::fnv1a64("config");
+  EXPECT_EQ(key.circuit_hash, 0x80d5f219c99e7ee9ull);
+  EXPECT_EQ(key.str(), "c80d5f219c99e7ee9-dmux-h3-f17-s7-t78039475c6a50527-m0");
+  // A served job parses the spec's text and writes it again for its key.
+  EXPECT_EQ(netlist::write_bench(netlist::parse_bench(text, locked.netlist.name())), text);
 }
 
 TEST(Registry, InsertFindPinAndList) {

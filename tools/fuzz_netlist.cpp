@@ -1,16 +1,17 @@
 // fuzz_netlist — deterministic mutation fuzzer for the BENCH and Verilog
-// parsers (DESIGN.md §8).
+// parsers and the JSON decoder (DESIGN.md §8).
 //
 //   fuzz_netlist [--corpus DIR] [--iters N] [--seed S] [--max-seconds T]
 //
 // Each iteration picks a corpus file, applies a seeded stack of byte-level
 // mutations (flips, truncations, slice splices, dictionary-token inserts —
 // including BOM, CRLF, and NUL bytes), and feeds the result to the matching
-// parser (*.v → parse_verilog, everything else → parse_bench). The
-// contract under test: EVERY input either parses or raises a structured
-// NetlistError — any other exception type, crash, or sanitizer finding is
-// a bug. Inputs that parse are additionally round-tripped through the
-// writer and re-parsed.
+// parser (*.v → parse_verilog, *.json → common::Json::parse, everything
+// else → parse_bench). The contract under test: EVERY input either parses
+// or raises the parser's structured error (NetlistError, or JsonError for
+// JSON) — any other exception type, crash, or sanitizer finding is a bug.
+// Netlists that parse are additionally round-tripped through the writer and
+// re-parsed; a parsed JSON value v must satisfy parse(dump(v)) == v.
 //
 // The run is fully deterministic in (corpus bytes, --seed, --iters):
 // corpus files are loaded in sorted filename order and all randomness
@@ -28,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "netlist/bench_io.h"
 #include "netlist/verilog_io.h"
 #include "tools/cli_args.h"
@@ -36,10 +38,12 @@ namespace {
 
 using namespace muxlink;
 
+enum class Format { kBench, kVerilog, kJson };
+
 struct CorpusEntry {
   std::string name;
   std::string bytes;
-  bool verilog = false;
+  Format format = Format::kBench;
 };
 
 constexpr std::size_t kMaxInputBytes = std::size_t{1} << 16;
@@ -51,7 +55,9 @@ const char* const kDictionary[] = {
     "INPUT(",  "OUTPUT(", "= AND(",   "= MUX(",  "= CONST0()", "#",     "(",
     ")",       ",",       "=",        "\r\n",    "\xEF\xBB\xBF", "\n\n", "module ",
     "endmodule", "assign ", "wire ",  "input ",  "output ",    "1'b0",  "1'b1",
-    "//",      "/*",      "*/",       "\\",      ""};
+    "//",      "/*",      "*/",       "\\",      "\"",       "\\u00", "\\u",
+    "{",       "}",       "[",        "]",       ":",        "true",  "null",
+    "-1e9",    "\x7f",    ""};
 
 std::string mutate(const std::string& base, const std::vector<CorpusEntry>& corpus,
                    std::mt19937_64& rng) {
@@ -107,7 +113,27 @@ std::string mutate(const std::string& base, const std::vector<CorpusEntry>& corp
 
 // One fuzz execution. Returns an empty string on contract compliance, or a
 // description of the violation.
-std::string run_one(const std::string& input, bool verilog) {
+std::string run_one(const std::string& input, Format format) {
+  if (format == Format::kJson) {
+    common::Json v;
+    try {
+      v = common::Json::parse(input);
+    } catch (const common::JsonError&) {
+      return "";  // structured decode error — the contract
+    } catch (const std::exception& e) {
+      return std::string("unexpected exception type: ") + e.what();
+    } catch (...) {
+      return "unexpected non-std exception";
+    }
+    // Parsed: the dump must decode again, to an equal value.
+    try {
+      if (common::Json::parse(v.dump()) != v) return "parse(dump(v)) != v";
+    } catch (const std::exception& e) {
+      return std::string("parse(dump(v)) threw: ") + e.what();
+    }
+    return "";
+  }
+  const bool verilog = format == Format::kVerilog;
   try {
     const netlist::Netlist nl =
         verilog ? netlist::parse_verilog(input) : netlist::parse_bench(input, "fuzz");
@@ -152,8 +178,11 @@ int main(int argc, char** argv) {
       std::ifstream is(entry.path(), std::ios::binary);
       std::ostringstream buf;
       buf << is.rdbuf();
+      const auto ext = entry.path().extension();
       corpus.push_back({entry.path().filename().string(), buf.str(),
-                        entry.path().extension() == ".v"});
+                        ext == ".v"      ? Format::kVerilog
+                        : ext == ".json" ? Format::kJson
+                                         : Format::kBench});
     }
   }
   if (corpus.empty()) {
@@ -175,7 +204,7 @@ int main(int argc, char** argv) {
     if (max_seconds > 0.0 && elapsed() > max_seconds) break;
     const CorpusEntry& base = corpus[rng() % corpus.size()];
     const std::string input = mutate(base.bytes, corpus, rng);
-    const std::string violation = run_one(input, base.verilog);
+    const std::string violation = run_one(input, base.format);
     ++executed;
     if (!violation.empty()) {
       ++failures;
