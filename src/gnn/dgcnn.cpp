@@ -14,16 +14,6 @@
 
 namespace muxlink::gnn {
 
-// Dispatch wrappers kept for the public dgcnn.h API (tests and benches call
-// these directly); the implementations live in the kernel tables (simd.h).
-void propagate(const GraphSample& s, const Matrix& h, Matrix& out) {
-  kernels().propagate(s, h, out);
-}
-
-void propagate_transpose(const GraphSample& s, const Matrix& g, Matrix& out) {
-  kernels().propagate_transpose(s, g, out);
-}
-
 namespace {
 
 // Per-layer wall time, accumulated per slot in the slot scratch and recorded
@@ -161,18 +151,20 @@ std::vector<std::pair<int, int>> Dgcnn::parameter_shapes(int feature_dim,
 }
 
 Dgcnn::Dgcnn(int feature_dim, const DgcnnConfig& config)
-    : cfg_(config), feature_dim_(feature_dim), rng_(config.seed) {
+    : cfg_(config), feature_dim_(feature_dim) {
   const auto shapes = parameter_shapes(feature_dim_, cfg_);
   cat_dim_ = std::accumulate(cfg_.conv_channels.begin(), cfg_.conv_channels.end(), 0);
   pooled_len_ = cfg_.sortpool_k / 2;
   conv2_len_ = pooled_len_ - cfg_.conv1d_kernel2 + 1;
 
   // Parameters are created in parameter_shapes() order; weights draw their
-  // Glorot init from rng_ in that order, biases start at zero.
+  // Glorot init, in that order, from one generator seeded with config.seed;
+  // biases start at zero.
+  std::mt19937_64 rng(config.seed);
   auto add_param = [&](bool init) {
     const auto [rows, cols] = shapes[params_.size()];
     Matrix m(rows, cols);
-    if (init) m.glorot(rng_);
+    if (init) m.glorot(rng);
     params_.push_back(std::move(m));
     grads_.emplace_back(rows, cols);
     adam_m_.emplace_back(rows, cols);
@@ -379,57 +371,23 @@ Dgcnn::Workspace& thread_workspace() {
 }
 }  // namespace
 
-double Dgcnn::predict(const GraphSample& g, bool training) {
-  const GraphSample* slot[] = {&g};
-  std::mt19937_64* rngs[] = {&rng_};
-  Workspace& ws = thread_workspace();
-  forward(slot, ws, training ? rngs : nullptr);
-  return ws.prob1[0];
-}
-
-double Dgcnn::score(const GraphSample& g) const {
-  const GraphSample* slot[] = {&g};
-  double p = 0.0;
-  score(slot, &p);
-  return p;
-}
-
 void Dgcnn::score(std::span<const GraphSample* const> samples, double* out) const {
   Workspace& ws = thread_workspace();
   forward(samples, ws, nullptr);
   std::copy_n(ws.prob1, samples.size(), out);
 }
 
-double Dgcnn::train_one(const GraphSample& g, std::mt19937_64& rng,
-                        std::vector<Matrix>& grads) const {
-  if (grads.size() != params_.size()) {
-    throw std::invalid_argument("Dgcnn::accumulate_gradients: gradient buffer mismatch");
-  }
+double Dgcnn::predict(const GraphSample& g) const {
   const GraphSample* slot[] = {&g};
-  std::mt19937_64* rngs[] = {&rng};
-  Workspace& ws = thread_workspace();
-  forward(slot, ws, rngs);
-  backward(slot, ws, grads);
-  kernels().matmul_at_b_accum_sparse(ws.dhid, ws.f, grads[w5_]);
-  return slot_loss(slot, ws);
-}
-
-double Dgcnn::accumulate_gradients(const GraphSample& g) {
-  if (grads_.size() != params_.size()) {
-    throw std::logic_error("Dgcnn::accumulate_gradients: training state was dropped");
-  }
-  return train_one(g, rng_, grads_);
-}
-
-double Dgcnn::accumulate_gradients(const GraphSample& g, std::vector<Matrix>& grads,
-                                   std::uint64_t dropout_seed) const {
-  std::mt19937_64 rng(dropout_seed);
-  return train_one(g, rng, grads);
+  double p = 0.0;
+  score(slot, &p);
+  return p;
 }
 
 Dgcnn::SlotGradients Dgcnn::make_slot_gradients() const {
   SlotGradients slot;
-  slot.grads = make_gradient_buffers();
+  slot.grads.reserve(params_.size());
+  for (const Matrix& p : params_) slot.grads.emplace_back(p.rows, p.cols);
   slot.grads[w5_] = Matrix();
   return slot;
 }
@@ -496,13 +454,6 @@ void for_each_block(const std::vector<Matrix>& tensors, Fn&& fn) {
 }
 
 }  // namespace
-
-std::vector<Matrix> Dgcnn::make_gradient_buffers() const {
-  std::vector<Matrix> out;
-  out.reserve(params_.size());
-  for (const Matrix& p : params_) out.emplace_back(p.rows, p.cols);
-  return out;
-}
 
 void Dgcnn::merge_gradients(std::span<SlotGradients> slots) {
   if (grads_.size() != params_.size()) {

@@ -25,6 +25,7 @@ namespace muxlink::gnn {
 // allocation per node; propagation uses (A+I) row-normalized, and the
 // normalization factors 1/(1+deg) are precomputed once per sample in
 // `inv_deg` instead of being recomputed on every propagate call.
+// gnn/encoding.cpp fills these from a Subgraph's CSR arrays.
 struct GraphSample {
   std::vector<int> nbr_offsets{0};  // size num_nodes()+1
   std::vector<int> nbr;             // flattened neighbor lists
@@ -37,29 +38,7 @@ struct GraphSample {
     return {nbr.data() + nbr_offsets[i],
             static_cast<std::size_t>(nbr_offsets[i + 1] - nbr_offsets[i])};
   }
-
-  // Builds nbr_offsets/nbr/inv_deg from per-node neighbor lists (test and
-  // ad-hoc construction convenience; the hot path in gnn/encoding.cpp copies
-  // the Subgraph's CSR arrays directly).
-  void set_adjacency(const std::vector<std::vector<int>>& lists) {
-    nbr_offsets.assign(1, 0);
-    nbr.clear();
-    inv_deg.clear();
-    nbr_offsets.reserve(lists.size() + 1);
-    inv_deg.reserve(lists.size());
-    for (const auto& l : lists) {
-      nbr.insert(nbr.end(), l.begin(), l.end());
-      nbr_offsets.push_back(static_cast<int>(nbr.size()));
-      inv_deg.push_back(1.0 / (1.0 + static_cast<double>(l.size())));
-    }
-  }
 };
-
-// Graph-propagation kernels over the sample's CSR adjacency (exposed for
-// tools/bench_kernels and kernel tests; the model calls them internally).
-// propagate: out = D^-1 (A+I) h. propagate_transpose: out = (D^-1 (A+I))^T g.
-void propagate(const GraphSample& s, const Matrix& h, Matrix& out);
-void propagate_transpose(const GraphSample& s, const Matrix& g, Matrix& out);
 
 struct DgcnnConfig {
   std::vector<int> conv_channels{32, 32, 32, 1};
@@ -94,29 +73,13 @@ class Dgcnn {
   // below goes through that one slot path, with 1..kSlotSamples samples.
   static constexpr std::size_t kSlotSamples = 4;
 
-  // Probability that the graph's link exists (class 1). `training` enables
-  // dropout (using the internal RNG). With `training == false` this mutates
-  // no model state and may be called concurrently from many threads.
-  double predict(const GraphSample& g, bool training = false);
-  // predict(g, false) on a shared read-only model (zoo-served handles).
-  double score(const GraphSample& g) const;
-  // Scores up to kSlotSamples samples in one slot: out[i] is score(*samples[i])
-  // bit for bit — a sample's score never depends on its slot-mates.
+  // Probabilities that the graphs' links exist (class 1), for up to
+  // kSlotSamples samples in one slot. A sample's score never depends on its
+  // slot-mates. Mutates no model state, so any number of threads may score
+  // one model (zoo-served handles are shared read-only).
   void score(std::span<const GraphSample* const> samples, double* out) const;
-
-  // Forward + backward for one sample; accumulates parameter gradients and
-  // returns the cross-entropy loss.
-  double accumulate_gradients(const GraphSample& g);
-
-  // Thread-safe variant: gradients accumulate into `grads` (shaped by
-  // make_gradient_buffers) and dropout is driven entirely by `dropout_seed`,
-  // so the result depends only on (parameters, sample, seed) — never on
-  // which thread runs it or in what order. Model state is untouched.
-  double accumulate_gradients(const GraphSample& g, std::vector<Matrix>& grads,
-                              std::uint64_t dropout_seed) const;
-
-  // Zeroed parameter-shaped buffers for the external-gradient overload.
-  std::vector<Matrix> make_gradient_buffers() const;
+  // score() of a one-sample slot.
+  double predict(const GraphSample& g) const;
 
   // A trainer slot's gradient accumulator (make_slot_gradients). Dense-1's
   // weight gradient, 128×576 and nearly all of a slot's buffer, stays
@@ -132,10 +95,11 @@ class Dgcnn {
   };
   SlotGradients make_slot_gradients() const;
 
-  // The slot entry for training: forward + backward for up to kSlotSamples
-  // samples, sample i's dropout driven by dropout_seeds[i], accumulated into
-  // `slot` in sample order. Model state is untouched. Returns the loss sum,
-  // added in sample order.
+  // The training entry: forward + backward for up to kSlotSamples samples,
+  // sample i's dropout driven by dropout_seeds[i], accumulated into `slot`
+  // in sample order. The result depends only on (parameters, samples,
+  // seeds) — never on which thread runs it — and model state is untouched.
+  // Returns the loss sum, added in sample order.
   double accumulate_gradients(std::span<const GraphSample* const> samples, SlotGradients& slot,
                               std::span<const std::uint64_t> dropout_seeds) const;
 
@@ -190,8 +154,8 @@ class Dgcnn {
 
   // Frees the gradient accumulators and Adam moments, leaving a model that
   // can only score: the zoo's served handles never train, so they do not
-  // carry ~2x their weights in training state. Any later training call
-  // throws std::logic_error.
+  // carry ~2x their weights in training state. merge_gradients and
+  // adam_step then throw std::logic_error.
   void drop_training_state();
 
   // Number of trainable scalars (for reporting).
@@ -210,8 +174,6 @@ class Dgcnn {
   // stays factored in the workspace (dhid, f) for the caller.
   void backward(std::span<const GraphSample* const> slot, Workspace& ws,
                 std::vector<Matrix>& grads) const;
-  // One sample's forward + backward into parameter-shaped `grads`.
-  double train_one(const GraphSample& g, std::mt19937_64& rng, std::vector<Matrix>& grads) const;
   double slot_loss(std::span<const GraphSample* const> slot, const Workspace& ws) const;
 
   DgcnnConfig cfg_;
@@ -219,7 +181,6 @@ class Dgcnn {
   int cat_dim_ = 0;    // sum of conv channels (SortPooling row width)
   int pooled_len_ = 0; // frames after max-pool
   int conv2_len_ = 0;  // frames after the second 1-D conv
-  std::mt19937_64 rng_;
 
   // Parameters, gradients, and Adam moments share indexing.
   std::vector<Matrix> params_;

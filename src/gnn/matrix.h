@@ -19,9 +19,10 @@
 // below are 4x4 register-blocked. Blocking changes only WHICH elements are
 // in flight together, never the accumulation order WITHIN an element: every
 // output element is still a single accumulator summing its k-terms in
-// ascending k, exactly like the *_naive kernels retained below. The blocked
-// and naive kernels therefore produce bit-identical results (asserted by
-// randomized tests), and no -ffast-math style reassociation is involved.
+// ascending k, exactly like the naive reference kernels the tests keep
+// (tests/support/matrix_naive.h). The blocked and naive kernels therefore
+// produce bit-identical results (asserted by randomized tests), and no
+// -ffast-math style reassociation is involved.
 // The AVX2 variants (gnn/simd.h) relax this to tolerance-equivalence.
 #pragma once
 
@@ -170,60 +171,9 @@ struct Matrix {
   }
 };
 
-// --- naive reference kernels ------------------------------------------------
-// Retained as the correctness oracle for the blocked and AVX2 kernels (and
-// for tools/bench_kernels baselines). Do not optimize these.
-
-// out = a * b.
-inline void matmul_naive(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.cols == b.rows);
-  out.resize(a.rows, b.cols);
-  for (int i = 0; i < a.rows; ++i) {
-    const double* ai = a.row(i);
-    double* oi = out.row(i);
-    for (int k = 0; k < a.cols; ++k) {
-      const double aik = ai[k];
-      if (aik == 0.0) continue;
-      const double* bk = b.row(k);
-      for (int j = 0; j < b.cols; ++j) oi[j] += aik * bk[j];
-    }
-  }
-}
-
-// out += a^T * b (used for weight gradients).
-inline void matmul_at_b_accum_naive(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.rows == b.rows && out.rows == a.cols && out.cols == b.cols);
-  for (int k = 0; k < a.rows; ++k) {
-    const double* ak = a.row(k);
-    const double* bk = b.row(k);
-    for (int i = 0; i < a.cols; ++i) {
-      const double aki = ak[i];
-      if (aki == 0.0) continue;
-      double* oi = out.row(i);
-      for (int j = 0; j < b.cols; ++j) oi[j] += aki * bk[j];
-    }
-  }
-}
-
-// out = a * b^T.
-inline void matmul_a_bt_naive(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.cols == b.cols);
-  out.resize(a.rows, b.rows);
-  for (int i = 0; i < a.rows; ++i) {
-    const double* ai = a.row(i);
-    double* oi = out.row(i);
-    for (int j = 0; j < b.rows; ++j) {
-      const double* bj = b.row(j);
-      double acc = 0.0;
-      for (int k = 0; k < a.cols; ++k) acc += ai[k] * bj[k];
-      oi[j] = acc;
-    }
-  }
-}
-
 // --- blocked scalar kernels -------------------------------------------------
 // The scalar half of the dispatched kernel set (gnn/simd.h); bit-identical
-// to the naive oracle above.
+// to the naive oracle (tests/support/matrix_naive.h).
 
 inline constexpr int kMatBlock = 4;
 

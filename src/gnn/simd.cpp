@@ -98,10 +98,6 @@ void s_tanh_backward_inplace(double* d, const double* h, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) d[i] *= 1.0 - h[i] * h[i];
 }
 
-void s_sigmoid_inplace(double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = 1.0 / (1.0 + std::exp(-x[i]));
-}
-
 double s_dot_acc(double init, const double* x, const double* y, std::size_t n) {
   double acc = init;
   for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
@@ -155,7 +151,6 @@ constexpr KernelTable kScalarTable = {
     s_propagate_transpose,
     s_tanh_inplace,
     s_tanh_backward_inplace,
-    s_sigmoid_inplace,
     s_dot_acc,
     s_axpy,
     s_add,

@@ -18,7 +18,7 @@
 // tanh_backward_inplace, add, scale, relu_dropout_backward, adam_update) are
 // bit-identical across tables. Kernels that reassociate sums across lanes or
 // contract mul+add into FMA (matmul*, dot_acc, axpy, sumsq_acc) — or replace
-// libm calls with vector polynomials (tanh, sigmoid) — are
+// libm calls with a vector polynomial (tanh) — are
 // tolerance-equivalent only; WITHIN one table they are still fully
 // deterministic, which is what the reproducibility contract actually
 // requires.
@@ -72,8 +72,6 @@ struct KernelTable {
   void (*tanh_inplace)(double* x, std::size_t n);
   // d[i] *= 1 - h[i]^2. Safe on padded buffers (pads: 0 *= 1).
   void (*tanh_backward_inplace)(double* d, const double* h, std::size_t n);
-  // x[i] = 1 / (1 + exp(-x[i])). NOT pad-safe (writes 0.5); logical arrays only.
-  void (*sigmoid_inplace)(double* x, std::size_t n);
 
   // Returns init + sum_i x[i]*y[i]; the scalar version chains from `init`
   // in ascending i, reproducing the pre-SIMD bias-first accumulation.

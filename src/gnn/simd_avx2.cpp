@@ -10,8 +10,8 @@
 //   tolerance     : matmul / matmul_at_b_accum / matmul_a_bt /
 //                   matmul_a_bt_bias / matmul_at_b_accum_sparse / dot_acc /
 //                   sumsq_acc (FMA + 4-lane partial sums reassociate the
-//                   reduction), tanh / sigmoid (Cephes-style polynomial exp
-//                   instead of libm). All are still deterministic for fixed
+//                   reduction), tanh (Cephes-style polynomial exp instead
+//                   of libm). All are still deterministic for fixed
 //                   inputs — reproducibility within the avx2 configuration
 //                   is exact, as test_simd asserts.
 //
@@ -47,7 +47,7 @@ inline double hsum_pd(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(lo, swapped));
 }
 
-// --- vector exp / tanh / sigmoid --------------------------------------------
+// --- vector exp / tanh ------------------------------------------------------
 // Cephes exp() scheme: n = round(x·log2 e); r = x − n·ln2 (hi/lo split);
 // exp(r) = 1 + 2·P(r²)·r / (Q(r²) − P(r²)·r); scale by 2ⁿ via the exponent
 // bits. ~1 ulp over the reduced range, well inside the 1e-12 test tolerance.
@@ -117,17 +117,6 @@ inline __m256d tanh_pd(__m256d x) {
   return _mm256_or_pd(t, sign);
 }
 
-inline __m256d sigmoid_pd(__m256d x) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d a = _mm256_andnot_pd(sign_mask, x);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d u = exp_pd(_mm256_sub_pd(_mm256_setzero_pd(), a));  // e^{−|x|} ∈ (0, 1]
-  const __m256d denom = _mm256_add_pd(one, u);
-  const __m256d pos = _mm256_div_pd(one, denom);  // x ≥ 0
-  const __m256d neg = _mm256_div_pd(u, denom);    // x < 0
-  const __m256d is_neg = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_LT_OQ);
-  return _mm256_blendv_pd(pos, neg, is_neg);
-}
 
 // --- matmul kernels ---------------------------------------------------------
 
@@ -553,12 +542,6 @@ void v_tanh_backward_inplace(double* d, const double* h, std::size_t n) {
   for (; i < n; ++i) d[i] *= 1.0 - h[i] * h[i];
 }
 
-void v_sigmoid_inplace(double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(x + i, sigmoid_pd(_mm256_loadu_pd(x + i)));
-  for (; i < n; ++i) x[i] = 1.0 / (1.0 + std::exp(-x[i]));
-}
-
 double v_dot_acc(double init, const double* x, const double* y, std::size_t n) {
   __m256d acc = _mm256_setzero_pd();
   std::size_t i = 0;
@@ -679,7 +662,6 @@ constexpr KernelTable kAvx2Table = {
     v_propagate_transpose,
     v_tanh_inplace,
     v_tanh_backward_inplace,
-    v_sigmoid_inplace,
     v_dot_acc,
     v_axpy,
     v_add,

@@ -91,6 +91,11 @@ double evaluate_accuracy(const Dgcnn& model, const std::vector<GraphSample>& sam
 }
 
 double auc_from_scores(const std::vector<double>& scores, const std::vector<int>& labels) {
+  // A NaN score has no rank: it would also break the sort's strict weak
+  // ordering and stall the tie scan below, which advances on ==.
+  if (std::any_of(scores.begin(), scores.end(), [](double s) { return std::isnan(s); })) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
   std::size_t npos = 0;
   for (int l : labels) npos += l == 1 ? 1 : 0;
   const std::size_t nneg = labels.size() - npos;

@@ -32,7 +32,7 @@ struct EpochStats {
 struct TrainOptions {
   int epochs = 100;
   int batch_size = 32;
-  std::uint64_t seed = 1;  // shuffling/split seed (the model owns its own RNG)
+  std::uint64_t seed = 1;  // shuffling/split and per-sample dropout seed
   // Called after every epoch with (epoch, train_loss, val_accuracy).
   std::function<void(int, double, double)> on_epoch;
 
@@ -97,12 +97,14 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
 double evaluate_accuracy(const Dgcnn& model, const std::vector<GraphSample>& samples);
 
 // ROC-AUC of the current parameters over `samples` (rank statistic; ties
-// count half). Returns 0.5 when one class is absent.
+// count half). Returns 0.5 when one class is absent and NaN when a score is
+// NaN (diverged parameters).
 double evaluate_auc(const Dgcnn& model, const std::vector<GraphSample>& samples);
 
 // ROC-AUC from precomputed scores/labels via the O(n log n) rank-sum
 // (Mann-Whitney) formulation with midrank tie correction. Equal to the
-// pairwise statistic (ties count half); exposed for cross-checking.
+// pairwise statistic (ties count half); exposed for cross-checking. Any NaN
+// score makes the result quiet NaN, the telemetry's "not computed" value.
 double auc_from_scores(const std::vector<double>& scores, const std::vector<int>& labels);
 
 }  // namespace muxlink::gnn

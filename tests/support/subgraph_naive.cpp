@@ -1,4 +1,4 @@
-#include "graph/subgraph_naive.h"
+#include "support/subgraph_naive.h"
 
 #include <algorithm>
 #include <limits>

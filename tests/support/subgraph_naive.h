@@ -1,5 +1,5 @@
-// Naive reference extractor, retained as a correctness oracle and benchmark
-// baseline for the arena-based fast path in subgraph.cpp.
+// Naive reference extractor, kept as a correctness oracle and benchmark
+// baseline for the arena-based fast path in graph/subgraph.cpp.
 //
 // This is the original hash-map implementation: every call allocates fresh
 // unordered_map distance/remap tables and BFS queues. It is deliberately

@@ -14,6 +14,7 @@
 #include "locking/mux_lock.h"
 #include "locking/trll.h"
 #include "netlist/bench_io.h"
+#include "support/graph_sample.h"
 #include "tools/cli_args.h"
 
 namespace muxlink {
@@ -63,7 +64,7 @@ TEST(Auc, PerfectAndInvertedRankings) {
   std::vector<gnn::GraphSample> one_class;
   gnn::GraphSample g;
   g.label = 1;
-  g.set_adjacency({{1}, {0}});
+  gnn::set_adjacency(g, {{1}, {0}});
   g.x = gnn::Matrix(2, 12);
   g.x.at(0, 0) = 1.0;
   g.x.at(1, 1) = 1.0;

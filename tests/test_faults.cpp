@@ -27,6 +27,7 @@
 #include "gnn/checkpoint.h"
 #include "gnn/dgcnn.h"
 #include "gnn/trainer.h"
+#include "support/graph_sample.h"
 
 namespace muxlink {
 namespace {
@@ -271,7 +272,7 @@ std::vector<gnn::GraphSample> synthetic_dataset() {
         nbr[u - 1].push_back(u);
       }
     }
-    g.set_adjacency(nbr);
+    gnn::set_adjacency(g, nbr);
     g.x = gnn::Matrix(n, 12);
     for (int u = 0; u < n; ++u) g.x.at(u, static_cast<int>(rng() % 12)) = 1.0;
     data.push_back(std::move(g));

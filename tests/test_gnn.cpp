@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <random>
 
@@ -22,6 +23,7 @@
 #include "graph/circuit_graph.h"
 #include "graph/sampling.h"
 #include "graph/subgraph.h"
+#include "support/graph_sample.h"
 
 namespace muxlink::gnn {
 namespace {
@@ -144,7 +146,7 @@ GraphSample tiny_sample(int label, std::uint64_t seed) {
     nbr[i].push_back(j);
     nbr[j].push_back(i);
   }
-  g.set_adjacency(nbr);
+  set_adjacency(g, nbr);
   g.x = Matrix(n, 12);
   for (int i = 0; i < n; ++i) g.x.at(i, static_cast<int>(rng() % 12)) = 1.0;
   return g;
@@ -163,6 +165,32 @@ DgcnnConfig tiny_config() {
   return cfg;
 }
 
+// Zeroed buffers shaped like `params`.
+std::vector<Matrix> zeroed_like(const std::vector<Matrix>& params) {
+  std::vector<Matrix> out;
+  for (const Matrix& p : params) out.emplace_back(p.rows, p.cols);
+  return out;
+}
+
+// One Adam step over `batch` the way the trainer takes it: slots of up to
+// kSlotSamples through the training entry (sample i's dropout seeded with
+// seed + i), merged in order, averaged over the batch.
+void train_step(Dgcnn& model, const std::vector<GraphSample>& batch, std::uint64_t seed) {
+  std::vector<Dgcnn::SlotGradients> slots;
+  for (std::size_t first = 0; first < batch.size(); first += Dgcnn::kSlotSamples) {
+    std::vector<const GraphSample*> members;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = first; i < std::min(batch.size(), first + Dgcnn::kSlotSamples); ++i) {
+      members.push_back(&batch[i]);
+      seeds.push_back(seed + i);
+    }
+    slots.push_back(model.make_slot_gradients());
+    model.accumulate_gradients(members, slots.back(), seeds);
+  }
+  model.merge_gradients(slots);
+  model.adam_step(batch.size());
+}
+
 TEST(Dgcnn, ForwardIsDeterministicWithoutDropout) {
   Dgcnn model(12, tiny_config());
   const GraphSample g = tiny_sample(1, 3);
@@ -176,7 +204,7 @@ TEST(Dgcnn, ForwardIsDeterministicWithoutDropout) {
 TEST(Dgcnn, HandlesGraphsSmallerAndLargerThanK) {
   Dgcnn model(12, tiny_config());
   GraphSample small = tiny_sample(0, 5);
-  small.set_adjacency({{1}, {0, 2}, {1}});
+  set_adjacency(small, {{1}, {0, 2}, {1}});
   small.x = Matrix(3, 12);
   for (int i = 0; i < 3; ++i) small.x.at(i, i) = 1.0;
   EXPECT_NO_THROW(model.predict(small));
@@ -188,7 +216,7 @@ TEST(Dgcnn, HandlesGraphsSmallerAndLargerThanK) {
     chain[i].push_back(i - 1);
     chain[i - 1].push_back(i);
   }
-  big.set_adjacency(chain);
+  set_adjacency(big, chain);
   big.x = Matrix(30, 12);
   for (int i = 0; i < 30; ++i) big.x.at(i, i % 12) = 1.0;
   EXPECT_NO_THROW(model.predict(big));
@@ -216,10 +244,7 @@ TEST(Dgcnn, SaveLoadRoundTrip) {
   const double before = model.predict(g);
   const auto snapshot = model.save_parameters();
   // Perturb by training a few steps.
-  for (int i = 0; i < 5; ++i) {
-    model.accumulate_gradients(g);
-    model.adam_step(1);
-  }
+  for (int i = 0; i < 5; ++i) train_step(model, {g}, i);
   EXPECT_NE(model.predict(g), before);
   model.load_parameters(snapshot);
   EXPECT_DOUBLE_EQ(model.predict(g), before);
@@ -250,7 +275,7 @@ GraphSample tree_sample(int n, int label, std::uint64_t seed) {
     nbr[i].push_back(j);
     nbr[j].push_back(i);
   }
-  g.set_adjacency(nbr);
+  set_adjacency(g, nbr);
   g.x = Matrix(n, 12);
   for (int i = 0; i < n; ++i) g.x.at(i, static_cast<int>(rng() % 12)) = 1.0;
   return g;
@@ -583,10 +608,7 @@ void check_slots_against_reference(Same same) {
   Dgcnn model(12, cfg);
   // Move off the initial weights so biases and every layer are nonzero.
   const std::vector<GraphSample> data = mixed_samples();
-  for (int step = 0; step < 3; ++step) {
-    for (const GraphSample& g : data) model.accumulate_gradients(g);
-    model.adam_step(data.size());
-  }
+  for (int step = 0; step < 3; ++step) train_step(model, data, 100 * step);
   const std::vector<Matrix> params = model.save_parameters();
   const Reference ref{params, cfg};
 
@@ -610,7 +632,7 @@ void check_slots_against_reference(Same same) {
       // Training: losses and gradients, samples accumulated in order.
       std::vector<Matrix> got;
       const double loss = slot_gradients(model, slot, seeds, got);
-      std::vector<Matrix> want = model.make_gradient_buffers();
+      std::vector<Matrix> want = zeroed_like(params);
       double want_loss = 0.0;
       for (std::size_t i = 0; i < size; ++i) {
         std::mt19937_64 rng(seeds[i]);
@@ -629,8 +651,11 @@ void check_slots_against_reference(Same same) {
   }
 }
 
+// Restores the session's dispatch mode (MUXLINK_SIMD), so a forced table
+// does not leak into the tests after this one.
 struct SimdModeGuard {
-  ~SimdModeGuard() { common::set_simd_mode(common::SimdMode::kAuto); }
+  common::SimdMode mode = common::simd_mode();
+  ~SimdModeGuard() { common::set_simd_mode(mode); }
 };
 
 TEST(SlotBatch, ScalarSlotsMatchPerSampleReferenceBitForBit) {
@@ -653,7 +678,8 @@ TEST(SlotBatch, Avx2SlotsMatchPerSampleReferenceWithinTolerance) {
 }
 
 // In every table a sample's score and gradients do not depend on its
-// slot-mates: one four-sample slot equals four one-sample slots bit for bit.
+// slot-mates: one four-sample slot equals four one-sample slots accumulated
+// into the same SlotGradients, bit for bit.
 TEST(SlotBatch, SlotEqualsItsSamplesOneByOne) {
   const DgcnnConfig cfg = slot_config();
   const Dgcnn model(12, cfg);
@@ -662,19 +688,21 @@ TEST(SlotBatch, SlotEqualsItsSamplesOneByOne) {
   const std::uint64_t seeds[] = {7, 8, 9, 10};
   double together[4];
   model.score(slot, together);
-  std::vector<Matrix> slot_grads;
-  const double slot_loss = slot_gradients(model, slot, seeds, slot_grads);
-  std::vector<Matrix> one_by_one = model.make_gradient_buffers();
+  Dgcnn::SlotGradients slot_grads = model.make_slot_gradients();
+  const double slot_loss = model.accumulate_gradients(slot, slot_grads, seeds);
+  Dgcnn::SlotGradients one_by_one = model.make_slot_gradients();
   double loss = 0.0;
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(together[i]),
-              std::bit_cast<std::uint64_t>(model.score(*slot[i])));
-    loss += model.accumulate_gradients(*slot[i], one_by_one, seeds[i]);
+              std::bit_cast<std::uint64_t>(model.predict(*slot[i])));
+    loss += model.accumulate_gradients(std::span(slot + i, 1), one_by_one, std::span(seeds + i, 1));
   }
   EXPECT_EQ(std::bit_cast<std::uint64_t>(slot_loss), std::bit_cast<std::uint64_t>(loss));
-  for (std::size_t t = 0; t < slot_grads.size(); ++t) {
-    EXPECT_TRUE(slot_grads[t].data == one_by_one[t].data) << "gradient tensor " << t;
+  for (std::size_t t = 0; t < slot_grads.grads.size(); ++t) {
+    EXPECT_TRUE(slot_grads.grads[t].data == one_by_one.grads[t].data) << "gradient tensor " << t;
   }
+  EXPECT_TRUE(slot_grads.dhid.data == one_by_one.dhid.data);
+  EXPECT_TRUE(slot_grads.f.data == one_by_one.f.data);
 }
 
 TEST(SlotBatch, RejectsOversizedSlotsAndMissingSeeds) {
@@ -691,15 +719,24 @@ TEST(SlotBatch, RejectsOversizedSlotsAndMissingSeeds) {
                std::invalid_argument);
 }
 
-// merge_gradients adds each slot in order exactly as if the slot had been
-// accumulated, sample by sample, into a zeroed parameter-shaped buffer and
-// that buffer added element by element — onto accumulators already holding
-// gradients, with slots of different sizes, in either table.
-TEST(SlotBatch, MergeAddsSlotsInOrderLikeExpandedBuffers) {
+// merge_gradients adds each slot in order exactly as if the slot's samples
+// had been accumulated, one by one, into a zeroed parameter-shaped buffer
+// (the reference's) and that buffer added element by element — onto
+// accumulators already holding gradients, with slots of different sizes.
+template <typename Same>
+void check_merge_against_reference(Same same) {
   const DgcnnConfig cfg = slot_config();
   const std::vector<GraphSample> data = mixed_samples();
   Dgcnn merged(12, cfg);
-  for (int i = 0; i < 3; ++i) merged.accumulate_gradients(data[i]);  // nonzero start
+  const std::vector<Matrix> params = merged.save_parameters();
+  const Reference ref{params, cfg};
+  {  // nonzero start
+    const GraphSample* start[] = {&data[0], &data[1], &data[2]};
+    const std::uint64_t seeds[] = {30, 31, 32};
+    Dgcnn::SlotGradients slot = merged.make_slot_gradients();
+    merged.accumulate_gradients(start, slot, seeds);
+    merged.merge_gradients({&slot, 1});
+  }
   std::vector<Matrix> expected = merged.gradients();
   const std::size_t firsts[] = {0, 4, 8};
   const std::size_t sizes[] = {4, 4, 2};
@@ -707,11 +744,12 @@ TEST(SlotBatch, MergeAddsSlotsInOrderLikeExpandedBuffers) {
   for (int s = 0; s < 3; ++s) {
     std::vector<const GraphSample*> members;
     std::vector<std::uint64_t> seeds;
-    std::vector<Matrix> buffer = merged.make_gradient_buffers();
+    std::vector<Matrix> buffer = zeroed_like(params);
     for (std::size_t i = firsts[s]; i < firsts[s] + sizes[s]; ++i) {
       members.push_back(&data[i]);
       seeds.push_back(40 + i);
-      merged.accumulate_gradients(data[i], buffer, 40 + i);
+      std::mt19937_64 rng(seeds.back());
+      ref.run(data[i], &rng, &buffer);
     }
     for (std::size_t t = 0; t < buffer.size(); ++t) {
       for (std::size_t e = 0; e < buffer[t].data.size(); ++e) {
@@ -723,7 +761,12 @@ TEST(SlotBatch, MergeAddsSlotsInOrderLikeExpandedBuffers) {
   }
   merged.merge_gradients(slots);
   for (std::size_t t = 0; t < expected.size(); ++t) {
-    EXPECT_TRUE(merged.gradients()[t].data == expected[t].data) << "tensor " << t;
+    for (int r = 0; r < expected[t].rows; ++r) {
+      for (int c = 0; c < expected[t].cols; ++c) {
+        same(merged.gradients()[t].at(r, c), expected[t].at(r, c),
+             ("tensor " + std::to_string(t)).c_str());
+      }
+    }
   }
   // Merging empties the slots: a second merge adds nothing.
   const std::vector<Matrix> before = merged.gradients();
@@ -731,6 +774,21 @@ TEST(SlotBatch, MergeAddsSlotsInOrderLikeExpandedBuffers) {
   for (std::size_t t = 0; t < before.size(); ++t) {
     EXPECT_TRUE(merged.gradients()[t].data == before[t].data) << "tensor " << t;
   }
+}
+
+// Bit for bit under the scalar table, within tolerance under AVX2.
+TEST(SlotBatch, MergeAddsSlotsInOrderLikeExpandedBuffers) {
+  SimdModeGuard guard;
+  common::set_simd_mode(common::SimdMode::kScalar);
+  check_merge_against_reference([](double got, double want, const char* what) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << what << ": " << got << " vs " << want;
+  });
+  if (avx2_kernels() == nullptr) return;
+  common::set_simd_mode(common::SimdMode::kAvx2);
+  check_merge_against_reference([](double got, double want, const char* what) {
+    ASSERT_NEAR(got, want, 1e-10 * std::max(1.0, std::abs(want))) << what;
+  });
 }
 
 // The trainer runs every batch as ⌈bsz/4⌉ slots through the slot entry —
@@ -807,6 +865,15 @@ TEST(Auc, RankSumMatchesPairwiseOnRandomScores) {
   }
 }
 
+// A NaN score (diverged parameters) has no rank: the AUC is NaN, the value
+// telemetry reports for an AUC it did not compute, and the call returns.
+TEST(Auc, NanScoreReturnsNan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(auc_from_scores({0.2, nan, 0.7}, {0, 1, 1})));
+  EXPECT_TRUE(std::isnan(auc_from_scores({nan, nan}, {0, 1})));
+  EXPECT_TRUE(std::isnan(auc_from_scores({nan, 0.4}, {1, 1})));
+}
+
 TEST(Auc, DegenerateClassesReturnHalf) {
   EXPECT_DOUBLE_EQ(auc_from_scores({0.1, 0.9}, {1, 1}), 0.5);
   EXPECT_DOUBLE_EQ(auc_from_scores({0.1, 0.9}, {0, 0}), 0.5);
@@ -842,7 +909,7 @@ TEST(Trainer, OverfitsTinyDatasetAndCheckpointsBest) {
         nbr[u - 1].push_back(u);
       }
     }
-    g.set_adjacency(nbr);
+    set_adjacency(g, nbr);
     g.x = Matrix(n, 12);
     for (int u = 0; u < n; ++u) g.x.at(u, static_cast<int>(rng() % 12)) = 1.0;
     data.push_back(std::move(g));

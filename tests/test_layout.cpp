@@ -2,8 +2,8 @@
 //
 // The CSR CircuitGraph/Subgraph layout, the epoch-stamped extraction arena,
 // and the 4x4 register-blocked matmul kernels all promise BIT-IDENTICAL
-// results to the naive reference implementations they replaced (retained in
-// graph/subgraph_naive.h and the *_naive kernels in gnn/matrix.h). These
+// results to the naive reference implementations they replaced (kept as
+// test oracles in tests/support/subgraph_naive.h and matrix_naive.h). These
 // tests enforce that promise on randomized circuits and matrices, including
 // the degenerate shapes the blocking tails must handle.
 #include <gtest/gtest.h>
@@ -18,7 +18,9 @@
 #include "graph/extraction_arena.h"
 #include "graph/sampling.h"
 #include "graph/subgraph.h"
-#include "graph/subgraph_naive.h"
+#include "support/graph_sample.h"
+#include "support/matrix_naive.h"
+#include "support/subgraph_naive.h"
 
 namespace muxlink::graph {
 namespace {
@@ -327,7 +329,7 @@ TEST(MatrixLayout, StorageIsAlignedAndPadsStayZero) {
 
 TEST(GraphSampleCsr, SetAdjacencyBuildsOffsetsAndInverseDegrees) {
   GraphSample g;
-  g.set_adjacency({{1, 2}, {0}, {0}});
+  set_adjacency(g, {{1, 2}, {0}, {0}});
   EXPECT_EQ(g.num_nodes(), 3);
   ASSERT_EQ(g.nbr_offsets, (std::vector<int>{0, 2, 3, 4}));
   EXPECT_EQ(g.nbr, (std::vector<int>{1, 2, 0, 0}));

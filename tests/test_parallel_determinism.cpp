@@ -4,10 +4,13 @@
 // run on the pool while doing so.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <vector>
 
 #include "circuitgen/generator.h"
+#include "common/cpu_features.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "gnn/encoding.h"
@@ -45,6 +48,7 @@ std::vector<gnn::GraphSample> link_dataset(const graph::CircuitGraph& g, std::si
 
 struct TrainRun {
   gnn::TrainReport report;
+  std::vector<gnn::Matrix> parameters;
   std::vector<double> predictions;
 };
 
@@ -67,8 +71,29 @@ TrainRun train_at(std::size_t threads, const std::vector<gnn::GraphSample>& data
   topts.seed = 2;
   TrainRun run;
   run.report = gnn::train_link_predictor(model, data, topts);
+  run.parameters = model.save_parameters();
   for (const auto& s : data) run.predictions.push_back(model.predict(s));
   return run;
+}
+
+// FNV-1a 64 over the bytes of the trained parameters' logical elements (pad
+// lanes excluded), row by row, then of the predictions.
+std::uint64_t fingerprint(const TrainRun& run) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const gnn::Matrix& p : run.parameters) {
+    for (int r = 0; r < p.rows; ++r) {
+      for (int c = 0; c < p.cols; ++c) mix(p.at(r, c));
+    }
+  }
+  for (double v : run.predictions) mix(v);
+  return h;
 }
 
 TEST(ParallelDeterminism, TrainerBitIdenticalAcrossThreadCounts) {
@@ -91,6 +116,24 @@ TEST(ParallelDeterminism, TrainerBitIdenticalAcrossThreadCounts) {
       ASSERT_EQ(t1.predictions[i], other->predictions[i]) << "prediction " << i;
     }
   }
+}
+
+// The scalar kernels are the bit-exact oracle (DESIGN.md §10): the model
+// they train must not change unless a numeric change is made on purpose, and
+// such a change re-pins this constant and says so in CHANGES.md.
+TEST(ParallelDeterminism, ScalarTrainerBitsArePinned) {
+  constexpr std::uint64_t kPinned = 0x818cb3a67e026de8ULL;
+  const common::SimdMode mode = common::simd_mode();
+  common::set_simd_mode(common::SimdMode::kScalar);
+  const auto nl = small_circuit(4, 150);
+  const auto g = graph::build_circuit_graph(nl);
+  const auto data = link_dataset(g, 80);
+  const TrainRun t1 = train_at(1, data);
+  const TrainRun t4 = train_at(4, data);
+  common::set_num_threads(0);
+  common::set_simd_mode(mode);
+  EXPECT_EQ(fingerprint(t1), kPinned) << std::hex << fingerprint(t1);
+  EXPECT_EQ(fingerprint(t4), kPinned) << std::hex << fingerprint(t4);
 }
 
 core::MuxLinkResult attack_at(std::size_t threads, const netlist::Netlist& locked) {

@@ -33,6 +33,7 @@
 #include "locking/schemes.h"
 #include "muxlink/attack.h"
 #include "netlist/bench_io.h"
+#include "support/graph_sample.h"
 #include "zoo/model_blob.h"
 #include "zoo/registry.h"
 #include "zoo/score_cache.h"
@@ -107,7 +108,7 @@ gnn::GraphSample ring_sample(int nodes = 12, int feature_dim = 6, std::uint64_t 
   for (int i = 0; i < nodes; ++i) {
     adj[i] = {(i + 1) % nodes, (i + nodes - 1) % nodes};
   }
-  s.set_adjacency(adj);
+  gnn::set_adjacency(s, adj);
   s.x = gnn::Matrix(nodes, feature_dim);
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> u(-1.0, 1.0);
@@ -120,8 +121,7 @@ gnn::GraphSample ring_sample(int nodes = 12, int feature_dim = 6, std::uint64_t 
 
 // One training step so the Adam moments are non-zero. Dropout comes from an
 // explicit seed (the trainer's slot entry), so the step depends only on
-// (parameters, moments, sample) — the internal RNG state, which the blob
-// does not carry, stays out of the trajectory.
+// (parameters, moments, sample).
 void take_one_step(gnn::Dgcnn& model, std::uint64_t dropout_seed = 99) {
   const auto s = ring_sample();
   const gnn::GraphSample* one[] = {&s};
@@ -294,9 +294,9 @@ TEST_F(BlobTest, MmapAndCopyReadersAgreeBitForBit) {
 
   // Inference through the mapped views matches the owned copies exactly.
   const auto s = ring_sample();
-  const double p_orig = model.predict(s, false);
-  EXPECT_TRUE(bit_equal(p_orig, mapped.model.predict(s, false)));
-  EXPECT_TRUE(bit_equal(p_orig, copied.model.predict(s, false)));
+  const double p_orig = model.predict(s);
+  EXPECT_TRUE(bit_equal(p_orig, mapped.model.predict(s)));
+  EXPECT_TRUE(bit_equal(p_orig, copied.model.predict(s)));
 
   EXPECT_EQ(mapped.meta["test"].as_string(), "yes");
 }
@@ -314,9 +314,10 @@ TEST_F(BlobTest, ScoreOnlyLoadScoresIdenticallyButCannotTrain) {
   EXPECT_TRUE(served.model.optimizer_state().m.empty());
 
   const auto s = ring_sample();
-  EXPECT_TRUE(bit_equal(model.predict(s, false), served.model.score(s)));
+  EXPECT_TRUE(bit_equal(model.predict(s), served.model.predict(s)));
   EXPECT_THROW(served.model.adam_step(1), std::logic_error);
-  EXPECT_THROW(served.model.accumulate_gradients(s), std::logic_error);
+  auto slot = served.model.make_slot_gradients();
+  EXPECT_THROW(served.model.merge_gradients({&slot, 1}), std::logic_error);
 }
 
 TEST_F(BlobTest, MaterializeMakesMappedModelTrainable) {
@@ -826,8 +827,8 @@ TEST(HandleCache, VerifiesOnceAndFollowsItsOwnBump) {
   }
   EXPECT_TRUE(first->mapped);
   EXPECT_TRUE(first->model.gradients().empty());
-  EXPECT_TRUE(bit_equal(first->model.score(ring_sample()),
-                        small_model().predict(ring_sample(), false)));
+  EXPECT_TRUE(bit_equal(first->model.predict(ring_sample()),
+                        small_model().predict(ring_sample())));
   EXPECT_EQ(reg.serve("missing"), nullptr);
 }
 
@@ -837,22 +838,22 @@ TEST(HandleCache, ReplacedBlobIsServedFreshNeverStale) {
   const auto s = ring_sample();
   const auto a = small_model(7);
   const auto b = small_model(8);
-  ASSERT_FALSE(bit_equal(a.score(s), b.score(s)));
+  ASSERT_FALSE(bit_equal(a.predict(s), b.predict(s)));
 
   reg.insert("k", blob_of(a));
   const auto served_a = reg.serve("k");
   ASSERT_NE(served_a, nullptr);
-  EXPECT_TRUE(bit_equal(served_a->model.score(s), a.score(s)));
+  EXPECT_TRUE(bit_equal(served_a->model.predict(s), a.predict(s)));
 
   // Through insert (which forgets the handle) ...
   reg.insert("k", blob_of(b));
-  EXPECT_TRUE(bit_equal(reg.serve("k")->model.score(s), b.score(s)));
+  EXPECT_TRUE(bit_equal(reg.serve("k")->model.predict(s), b.predict(s)));
   // ... and behind the registry's back: a rename of a new inode over the
   // entry, which only the identity check can notice.
   common::atomic_write_file(reg.entry_path("k"), blob_of(a));
-  EXPECT_TRUE(bit_equal(reg.serve("k")->model.score(s), a.score(s)));
+  EXPECT_TRUE(bit_equal(reg.serve("k")->model.predict(s), a.predict(s)));
   // The handle a running job holds stays valid after its entry was replaced.
-  EXPECT_TRUE(bit_equal(served_a->model.score(s), a.score(s)));
+  EXPECT_TRUE(bit_equal(served_a->model.predict(s), a.predict(s)));
 }
 
 TEST(HandleCache, InPlaceWriteOrForeignBumpReverifies) {
@@ -896,7 +897,7 @@ TEST(HandleCache, ForeignLanesBlobIsServedThroughTheCopyReader) {
   ASSERT_NE(copied, nullptr);
   EXPECT_FALSE(copied->mapped);
   EXPECT_EQ(copied->bytes_mapped, 0u);
-  EXPECT_TRUE(bit_equal(copied->model.score(ring_sample()), model.score(ring_sample())));
+  EXPECT_TRUE(bit_equal(copied->model.predict(ring_sample()), model.predict(ring_sample())));
   EXPECT_EQ(reg.serve("k"), copied) << "the copied handle is cached like a mapped one";
   if (common::metrics_enabled()) {
     EXPECT_EQ(counter("serving.handle_loads"), 1);
@@ -924,7 +925,7 @@ TEST(HandleCache, ConcurrentServesShareOneVerifiedHandle) {
   std::vector<double> want;
   for (std::uint64_t i = 0; i < 6; ++i) {
     samples.push_back(ring_sample(10 + static_cast<int>(i), 6, i));
-    want.push_back(model.score(samples.back()));
+    want.push_back(model.predict(samples.back()));
   }
 
   common::MetricsRegistry::instance().reset();
@@ -943,7 +944,7 @@ TEST(HandleCache, ConcurrentServesShareOneVerifiedHandle) {
         }
         if (r == 0) seen[t] = h.get();
         for (std::size_t i = 0; i < samples.size(); ++i) {
-          if (!bit_equal(h->model.score(samples[i]), want[i])) ++mismatches;
+          if (!bit_equal(h->model.predict(samples[i]), want[i])) ++mismatches;
         }
       }
     });

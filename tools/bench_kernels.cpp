@@ -54,7 +54,8 @@
 #include "gnn/simd.h"
 #include "graph/circuit_graph.h"
 #include "graph/subgraph.h"
-#include "graph/subgraph_naive.h"
+#include "support/matrix_naive.h"
+#include "support/subgraph_naive.h"
 #include "tools/cli_args.h"
 
 namespace {
