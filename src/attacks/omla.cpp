@@ -36,13 +36,15 @@ struct OmlaAttack::Impl {
     for (int i = 0; i < n; ++i) {
       g.inv_deg[i] = 1.0 / (1.0 + static_cast<double>(sg.degree(i)));
     }
-    g.x = gnn::Matrix(n, feature_dim());
+    // Ascending per node: gate type, hop distance, then the center flag.
+    g.feat.reserve(2 * static_cast<std::size_t>(n) + 1);
     for (int i = 0; i < n; ++i) {
-      g.x.at(i, static_cast<int>(sg.type[i])) = 1.0;
       int d = sg.drnl[i];
       if (d < 0 || d > opts.hops) d = opts.hops;
-      g.x.at(i, netlist::kNumGateTypes + d) = 1.0;
-      if (i == 0) g.x.at(i, feature_dim() - 1) = 1.0;
+      g.feat.push_back(static_cast<int>(sg.type[i]));
+      g.feat.push_back(netlist::kNumGateTypes + d);
+      if (i == 0) g.feat.push_back(feature_dim() - 1);
+      g.feat_offsets.push_back(static_cast<int>(g.feat.size()));
     }
     return g;
   }
@@ -90,7 +92,7 @@ void OmlaAttack::add_training_design(const locking::LockedDesign& design) {
   }
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     graphs[i].label = design.key[i] != 0 ? 1 : 0;
-    impl_->sizes.push_back(graphs[i].x.rows);
+    impl_->sizes.push_back(graphs[i].num_nodes());
     impl_->samples.push_back(std::move(graphs[i]));
   }
   impl_->model.reset();

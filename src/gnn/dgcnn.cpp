@@ -71,7 +71,8 @@ struct LayerTimers {
 // allocation-free.
 struct Dgcnn::Workspace {
   struct Sample {
-    std::vector<Matrix> u;   // per conv layer: P * Z_{l-1}
+    CsrRows u0;              // conv layer 0: P * X as CSR rows
+    std::vector<Matrix> u;   // per conv layer l >= 1: P * Z_{l-1} (u[0] unused)
     std::vector<Matrix> h;   // per conv layer: tanh output
     std::vector<int> order;  // SortPooling: selected rows, best first
   };
@@ -201,18 +202,80 @@ void relu_inplace(Matrix& x) {
 
 }  // namespace
 
+void propagate_features(const GraphSample& s, CsrRows& out) {
+  const int n = s.num_nodes();
+  out.offsets.assign(1, 0);
+  out.cols.clear();
+  out.vals.clear();
+  for (int i = 0; i < n; ++i) {
+    // Gather the columns of i and its neighbors, sort, and emit each run as
+    // (column, run length · inv_deg[i]).
+    const std::size_t begin = out.cols.size();
+    const auto own = s.features(i);
+    out.cols.insert(out.cols.end(), own.begin(), own.end());
+    for (int j : s.neighbors(i)) {
+      const auto fj = s.features(j);
+      out.cols.insert(out.cols.end(), fj.begin(), fj.end());
+    }
+    std::sort(out.cols.begin() + static_cast<std::ptrdiff_t>(begin), out.cols.end());
+    const std::size_t end = out.cols.size();
+    const double inv = s.inv_deg[i];
+    std::size_t w = begin;
+    for (std::size_t r = begin; r < end;) {
+      const int c = out.cols[r];
+      std::size_t run = r + 1;
+      while (run < end && out.cols[run] == c) ++run;
+      out.cols[w++] = c;
+      out.vals.push_back(static_cast<double>(run - r) * inv);
+      r = run;
+    }
+    out.cols.resize(w);
+    out.offsets.push_back(static_cast<int>(w));
+  }
+}
+
+namespace {
+
+// Rejects feature lists a layer-0 kernel would misread: a column outside
+// [0, feature_dim) would index past W0, and a repeated column would count
+// twice where a dense X holds a single 1.0.
+void check_features(const GraphSample& g, int feature_dim) {
+  const int n = g.num_nodes();
+  if (g.nbr_offsets.empty() || g.feat_offsets.size() != g.nbr_offsets.size() ||
+      g.feat_offsets.front() != 0 ||
+      g.feat_offsets.back() != static_cast<int>(g.feat.size()) ||
+      g.inv_deg.size() != static_cast<std::size_t>(n)) {
+    throw std::invalid_argument("Dgcnn: adjacency / feature row mismatch");
+  }
+  for (int i = 0; i < n; ++i) {
+    if (g.feat_offsets[i] > g.feat_offsets[i + 1] ||
+        g.feat_offsets[i + 1] > static_cast<int>(g.feat.size())) {
+      throw std::invalid_argument("Dgcnn: feature offsets must rise to the list's size");
+    }
+    int prev = -1;
+    for (int c : g.features(i)) {
+      if (c < 0 || c >= feature_dim) {
+        throw std::invalid_argument("Dgcnn: feature column " + std::to_string(c) +
+                                    " outside [0, " + std::to_string(feature_dim) + ")");
+      }
+      if (c <= prev) {
+        throw std::invalid_argument("Dgcnn: feature columns of node " + std::to_string(i) +
+                                    " must be strictly ascending");
+      }
+      prev = c;
+    }
+  }
+}
+
+}  // namespace
+
 void Dgcnn::forward(std::span<const GraphSample* const> slot, Workspace& ws,
                     std::mt19937_64* const* rngs) const {
   if (slot.empty() || slot.size() > kSlotSamples) {
     throw std::invalid_argument("Dgcnn: a slot holds 1.." + std::to_string(kSlotSamples) +
                                 " samples");
   }
-  for (const GraphSample* g : slot) {
-    if (g->x.cols != feature_dim_) throw std::invalid_argument("Dgcnn: feature dim mismatch");
-    if (g->num_nodes() != g->x.rows) {
-      throw std::invalid_argument("Dgcnn: adjacency / feature row mismatch");
-    }
-  }
+  for (const GraphSample* g : slot) check_features(*g, feature_dim_);
   const int ns = static_cast<int>(slot.size());
   const int L = static_cast<int>(cfg_.conv_channels.size());
   const int k = cfg_.sortpool_k;
@@ -228,22 +291,28 @@ void Dgcnn::forward(std::span<const GraphSample* const> slot, Workspace& ws,
   for (int i = 0; i < ns; ++i) {
     const GraphSample& g = *slot[i];
     Workspace::Sample& sm = ws.sample[i];
+    const int n = g.num_nodes();
     sm.u.resize(L);
     sm.h.resize(L);
-    const Matrix* z = &g.x;
     for (int l = 0; l < L; ++l) {
-      kn.propagate(g, *z, sm.u[l]);
-      kn.matmul(sm.u[l], params_[w_conv_[l]], sm.h[l]);
+      if (l == 0) {
+        // From the binary features' CSR rows: bit for bit the dense
+        // propagate + matmul over the densified X.
+        propagate_features(g, sm.u0);
+        sm.h[0].resize_uninit(n, cfg_.conv_channels[0]);
+        kn.csr_matmul(sm.u0, 0, n, params_[w_conv_[0]], sm.h[0]);
+      } else {
+        kn.propagate(g, sm.h[l - 1], sm.u[l]);
+        kn.matmul(sm.u[l], params_[w_conv_[l]], sm.h[l]);
+      }
       // Whole padded buffer: tanh(0) == 0 keeps the pad lanes zero.
       kn.tanh_inplace(sm.h[l].data.data(), sm.h[l].data.size());
-      z = &sm.h[l];
     }
     timers.lap(kGconv);
 
     // Order by the last (1-channel) layer, descending, sorting the
     // workspace's own buffer; graphs smaller than k pad with zero frames.
     const Matrix& last = sm.h[L - 1];
-    const int n = g.x.rows;
     sm.order.resize(n);
     std::iota(sm.order.begin(), sm.order.end(), 0);
     std::sort(sm.order.begin(), sm.order.end(), [&](int a, int b) {
@@ -627,7 +696,7 @@ void Dgcnn::backward(std::span<const GraphSample* const> slot, Workspace& ws,
   for (int i = 0; i < ns; ++i) {
     const GraphSample& g = *slot[i];
     const Workspace::Sample& sm = ws.sample[i];
-    const int n = g.x.rows;
+    const int n = g.num_nodes();
     const int kept = static_cast<int>(sm.order.size());
     ws.dki.resize_uninit(kept, ch1);
     for (int t = 0; t < kept; ++t) {
@@ -654,8 +723,12 @@ void Dgcnn::backward(std::span<const GraphSample* const> slot, Workspace& ws,
       Matrix& dhl = dh[l];
       // tanh' over the whole padded buffer (pads: 0 *= 1 stays 0).
       kn.tanh_backward_inplace(dhl.data.data(), sm.h[l].data.data(), dhl.data.size());
+      if (l == 0) {
+        // No gradient into the input features.
+        kn.csr_matmul_at_b_accum(sm.u0, 0, n, dhl, grads[w_conv_[0]]);
+        break;
+      }
       kn.matmul_at_b_accum(sm.u[l], dhl, grads[w_conv_[l]]);
-      if (l == 0) break;  // no gradient into the input features
       kn.matmul_a_bt(dhl, params_[w_conv_[l]], ws.du);
       kn.propagate_transpose(g, ws.du, ws.dz);
       // Same shape → same padded layout; pads add 0 + 0.

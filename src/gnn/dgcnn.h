@@ -19,26 +19,43 @@
 
 namespace muxlink::gnn {
 
-// One input graph: sparse structure + dense node features + binary label.
+// One input graph: sparse structure + binary node features + binary label.
 // Adjacency is CSR (flat offsets + neighbor arrays, no self entries) so the
 // propagation kernels stream one contiguous array instead of chasing a heap
 // allocation per node; propagation uses (A+I) row-normalized, and the
 // normalization factors 1/(1+deg) are precomputed once per sample in
 // `inv_deg` instead of being recomputed on every propagate call.
+// The node information matrix X (paper §III-B) is binary, so it is stored
+// as per-node column lists in the same CSR shape: node i's active columns,
+// strictly ascending, each with implicit value 1.0 — a few ints per node
+// instead of a dense row of feature_dim doubles.
 // gnn/encoding.cpp fills these from a Subgraph's CSR arrays.
 struct GraphSample {
-  std::vector<int> nbr_offsets{0};  // size num_nodes()+1
-  std::vector<int> nbr;             // flattened neighbor lists
-  std::vector<double> inv_deg;      // 1.0 / (1 + degree) per node
-  Matrix x;                         // num_nodes × feature_dim
-  int label = 0;                    // 1 = link exists
+  std::vector<int> nbr_offsets{0};   // size num_nodes()+1
+  std::vector<int> nbr;              // flattened neighbor lists
+  std::vector<double> inv_deg;       // 1.0 / (1 + degree) per node
+  std::vector<int> feat_offsets{0};  // size num_nodes()+1
+  std::vector<int> feat;             // flattened active feature columns
+  int label = 0;                     // 1 = link exists
 
   int num_nodes() const noexcept { return static_cast<int>(nbr_offsets.size()) - 1; }
   std::span<const int> neighbors(int i) const {
     return {nbr.data() + nbr_offsets[i],
             static_cast<std::size_t>(nbr_offsets[i + 1] - nbr_offsets[i])};
   }
+  std::span<const int> features(int i) const {
+    return {feat.data() + feat_offsets[i],
+            static_cast<std::size_t>(feat_offsets[i + 1] - feat_offsets[i])};
+  }
 };
+
+// U0 = D^-1 (A+I) X for the sample's binary X, as CSR rows: row i holds
+// (c, count_c · inv_deg[i]) for every column c active in i or a neighbor,
+// count_c being how many of them have it. Summing 1.0s is exact, so each
+// value has the bits of the dense propagate kernels over a densified X, and
+// the columns it omits are exactly that matrix's zeros. Reuses `out`'s
+// capacity. The sample's feature lists must be valid (Dgcnn checks them).
+void propagate_features(const GraphSample& s, CsrRows& out);
 
 struct DgcnnConfig {
   std::vector<int> conv_channels{32, 32, 32, 1};

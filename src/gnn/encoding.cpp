@@ -18,13 +18,18 @@ GraphSample encode_subgraph(const graph::Subgraph& sg, int hops, int label) {
   for (int i = 0; i < n; ++i) {
     g.inv_deg[i] = 1.0 / (1.0 + static_cast<double>(sg.degree(i)));
   }
-  g.x = Matrix(n, graph::kNumTypeFeatures + label_dim);
+  // Two active columns per node, ascending: the gate-function bit, then the
+  // DRNL bit past the kNumTypeFeatures type columns.
+  g.feat_offsets.resize(n + 1);
+  g.feat.resize(2 * static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    g.x.at(i, graph::type_feature_index(sg.type[i])) = 1.0;
     int drnl = sg.drnl[i];
     if (drnl < 0 || drnl >= label_dim) drnl = 0;
-    g.x.at(i, graph::kNumTypeFeatures + drnl) = 1.0;
+    g.feat_offsets[i] = 2 * i;
+    g.feat[2 * i] = graph::type_feature_index(sg.type[i]);
+    g.feat[2 * i + 1] = graph::kNumTypeFeatures + drnl;
   }
+  g.feat_offsets[n] = 2 * n;
   return g;
 }
 

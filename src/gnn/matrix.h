@@ -171,6 +171,18 @@ struct Matrix {
   }
 };
 
+// Row-sparse matrix in CSR form: row i holds vals[e] at column cols[e] for e
+// in [offsets[i], offsets[i+1]), columns strictly ascending within a row.
+// The DGCNN's first propagated layer, P·X over binary X, is one of these
+// (gnn::propagate_features); the csr_* kernels (gnn/simd.h) consume it.
+struct CsrRows {
+  std::vector<int> offsets{0};  // size rows()+1
+  std::vector<int> cols;
+  std::vector<double> vals;
+
+  int rows() const noexcept { return static_cast<int>(offsets.size()) - 1; }
+};
+
 // --- blocked scalar kernels -------------------------------------------------
 // The scalar half of the dispatched kernel set (gnn/simd.h); bit-identical
 // to the naive oracle (tests/support/matrix_naive.h).

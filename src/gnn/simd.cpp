@@ -55,6 +55,38 @@ void s_matmul_at_b_accum_sparse(const Matrix& a, const Matrix& b, Matrix& out) {
   }
 }
 
+// out[i] = Σ_e vals[e]·b[cols[e]]: each element chains from 0.0 in
+// ascending column, matmul's per-element chain minus its 0·b terms.
+void s_csr_matmul(const CsrRows& a, int row_begin, int row_end, const Matrix& b, Matrix& out) {
+  assert(row_end <= a.rows() && out.rows == a.rows() && out.cols == b.cols);
+  const int n = b.cols;
+  for (int i = row_begin; i < row_end; ++i) {
+    double* oi = out.row(i);
+    for (int j = 0; j < n; ++j) oi[j] = 0.0;
+    for (int e = a.offsets[i]; e < a.offsets[i + 1]; ++e) {
+      const double v = a.vals[e];
+      const double* bk = b.row(a.cols[e]);
+      for (int j = 0; j < n; ++j) oi[j] += v * bk[j];
+    }
+  }
+}
+
+// out[cols[e]] += vals[e]·b[i] in ascending i: each element chains from its
+// preloaded value, matmul_at_b_accum's chain minus its 0·b terms.
+void s_csr_matmul_at_b_accum(const CsrRows& a, int row_begin, int row_end, const Matrix& b,
+                             Matrix& out) {
+  assert(row_end <= a.rows() && b.rows == a.rows() && out.cols == b.cols);
+  const int n = b.cols;
+  for (int i = row_begin; i < row_end; ++i) {
+    const double* bi = b.row(i);
+    for (int e = a.offsets[i]; e < a.offsets[i + 1]; ++e) {
+      const double v = a.vals[e];
+      double* ok = out.row(a.cols[e]);
+      for (int j = 0; j < n; ++j) ok[j] += v * bi[j];
+    }
+  }
+}
+
 // out = D^-1 (A+I) H with row-normalization over {i} ∪ N(i): copy own row,
 // add each CSR neighbor front to back, scale by the precomputed inverse
 // degree. Summation order is the contract — the AVX2 variant keeps it.
@@ -147,6 +179,8 @@ constexpr KernelTable kScalarTable = {
     s_matmul_a_bt,
     s_matmul_a_bt_bias,
     s_matmul_at_b_accum_sparse,
+    s_csr_matmul,
+    s_csr_matmul_at_b_accum,
     s_propagate,
     s_propagate_transpose,
     s_tanh_inplace,

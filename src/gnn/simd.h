@@ -17,8 +17,8 @@
 // independent IEEE ops in the scalar order (propagate, propagate_transpose,
 // tanh_backward_inplace, add, scale, relu_dropout_backward, adam_update) are
 // bit-identical across tables. Kernels that reassociate sums across lanes or
-// contract mul+add into FMA (matmul*, dot_acc, axpy, sumsq_acc) — or replace
-// libm calls with a vector polynomial (tanh) — are
+// contract mul+add into FMA (matmul*, csr_matmul*, dot_acc, axpy, sumsq_acc)
+// — or replace libm calls with a vector polynomial (tanh) — are
 // tolerance-equivalent only; WITHIN one table they are still fully
 // deterministic, which is what the reproducibility contract actually
 // requires.
@@ -62,6 +62,24 @@ struct KernelTable {
   // ascending k, exactly as one axpy(a[k][i], b.row(k), out.row(i), ld) per
   // k would add them.
   void (*matmul_at_b_accum_sparse)(const Matrix& a, const Matrix& b, Matrix& out);
+
+  // Graph-conv layer 0 from the CSR rows of U0 = P·X (propagate_features),
+  // over a's rows [row_begin, row_end):
+  //   csr_matmul             out[i] = Σ_e a.vals[e]·b[a.cols[e]], out
+  //                          already shaped (rows × b.cols); only rows in
+  //                          the range are written;
+  //   csr_matmul_at_b_accum  out[a.cols[e]] += a.vals[e]·b[i], rows in
+  //                          ascending i.
+  // Per element each is the same table's dense matmul / matmul_at_b_accum
+  // chain over the densified a with its exact-zero terms skipped. A chain
+  // starts at +0.0 (or the preloaded out) and adding a skipped 0·b = ±0.0
+  // (b finite) changes no bit of any value but -0.0, which a chain holds
+  // only after a -0.0 preload or an FMA product underflowing to zero — so
+  // both kernels are bit-identical to the dense ones of their own table.
+  void (*csr_matmul)(const CsrRows& a, int row_begin, int row_end, const Matrix& b,
+                     Matrix& out);
+  void (*csr_matmul_at_b_accum)(const CsrRows& a, int row_begin, int row_end, const Matrix& b,
+                                Matrix& out);
 
   // out = D^-1 (A + I) h  /  out = (A + I)^T D^-1 g over the sample's CSR
   // adjacency. Bit-identical across tables (mul and add stay separate ops).

@@ -8,7 +8,8 @@
 //                   perform the scalar op sequence per element with no FMA
 //                   contraction and no cross-lane reassociation.
 //   tolerance     : matmul / matmul_at_b_accum / matmul_a_bt /
-//                   matmul_a_bt_bias / matmul_at_b_accum_sparse / dot_acc /
+//                   matmul_a_bt_bias / matmul_at_b_accum_sparse /
+//                   csr_matmul / csr_matmul_at_b_accum / dot_acc /
 //                   sumsq_acc (FMA + 4-lane partial sums reassociate the
 //                   reduction), tanh (Cephes-style polynomial exp instead
 //                   of libm). All are still deterministic for fixed
@@ -320,6 +321,76 @@ void v_matmul_at_b_accum_sparse(const Matrix& a, const Matrix& b, Matrix& out) {
         case 2: fma_terms<2>(oi, alpha, x, ldn); break;
         case 1: fma_terms<1>(oi, alpha, x, ldn); break;
         default: break;
+      }
+    }
+  }
+}
+
+// out[i] = Σ_e vals[e]·b[cols[e]] over whole padded rows, 16 columns (four
+// accumulators) per pass: each element is v_matmul's FMA chain from
+// setzero in ascending k with its 0·b terms left out.
+void v_csr_matmul(const CsrRows& a, int row_begin, int row_end, const Matrix& b, Matrix& out) {
+  assert(row_end <= a.rows() && out.rows == a.rows() && out.cols == b.cols);
+  const int ldn = out.ld;
+  for (int i = row_begin; i < row_end; ++i) {
+    double* oi = out.row(i);
+    const int e0 = a.offsets[i], e1 = a.offsets[i + 1];
+    int j = 0;
+    for (; j + 16 <= ldn; j += 16) {
+      __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
+      __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
+      for (int e = e0; e < e1; ++e) {
+        const __m256d v = _mm256_broadcast_sd(&a.vals[e]);
+        const double* bk = b.row(a.cols[e]) + j;
+        c0 = _mm256_fmadd_pd(v, _mm256_load_pd(bk), c0);
+        c1 = _mm256_fmadd_pd(v, _mm256_load_pd(bk + 4), c1);
+        c2 = _mm256_fmadd_pd(v, _mm256_load_pd(bk + 8), c2);
+        c3 = _mm256_fmadd_pd(v, _mm256_load_pd(bk + 12), c3);
+      }
+      _mm256_store_pd(oi + j, c0);
+      _mm256_store_pd(oi + j + 4, c1);
+      _mm256_store_pd(oi + j + 8, c2);
+      _mm256_store_pd(oi + j + 12, c3);
+    }
+    for (; j < ldn; j += 4) {
+      __m256d c = _mm256_setzero_pd();
+      for (int e = e0; e < e1; ++e) {
+        c = _mm256_fmadd_pd(_mm256_broadcast_sd(&a.vals[e]), _mm256_load_pd(b.row(a.cols[e]) + j),
+                            c);
+      }
+      _mm256_store_pd(oi + j, c);
+    }
+  }
+}
+
+// out[cols[e]] += vals[e]·b[i], rows in ascending i, 16 columns of b[i] held
+// in registers per pass: each element is v_matmul_at_b_accum's FMA chain
+// from the preloaded value with its 0·b terms left out.
+void v_csr_matmul_at_b_accum(const CsrRows& a, int row_begin, int row_end, const Matrix& b,
+                             Matrix& out) {
+  assert(row_end <= a.rows() && b.rows == a.rows() && out.cols == b.cols);
+  const int ldn = out.ld;
+  for (int i = row_begin; i < row_end; ++i) {
+    const double* bi = b.row(i);
+    const int e0 = a.offsets[i], e1 = a.offsets[i + 1];
+    int j = 0;
+    for (; j + 16 <= ldn; j += 16) {
+      const __m256d b0 = _mm256_load_pd(bi + j), b1 = _mm256_load_pd(bi + j + 4);
+      const __m256d b2 = _mm256_load_pd(bi + j + 8), b3 = _mm256_load_pd(bi + j + 12);
+      for (int e = e0; e < e1; ++e) {
+        const __m256d v = _mm256_broadcast_sd(&a.vals[e]);
+        double* ok = out.row(a.cols[e]) + j;
+        _mm256_store_pd(ok, _mm256_fmadd_pd(v, b0, _mm256_load_pd(ok)));
+        _mm256_store_pd(ok + 4, _mm256_fmadd_pd(v, b1, _mm256_load_pd(ok + 4)));
+        _mm256_store_pd(ok + 8, _mm256_fmadd_pd(v, b2, _mm256_load_pd(ok + 8)));
+        _mm256_store_pd(ok + 12, _mm256_fmadd_pd(v, b3, _mm256_load_pd(ok + 12)));
+      }
+    }
+    for (; j < ldn; j += 4) {
+      const __m256d bj = _mm256_load_pd(bi + j);
+      for (int e = e0; e < e1; ++e) {
+        double* ok = out.row(a.cols[e]) + j;
+        _mm256_store_pd(ok, _mm256_fmadd_pd(_mm256_broadcast_sd(&a.vals[e]), bj, _mm256_load_pd(ok)));
       }
     }
   }
@@ -658,6 +729,8 @@ constexpr KernelTable kAvx2Table = {
     v_matmul_a_bt,
     v_matmul_a_bt_bias,
     v_matmul_at_b_accum_sparse,
+    v_csr_matmul,
+    v_csr_matmul_at_b_accum,
     v_propagate,
     v_propagate_transpose,
     v_tanh_inplace,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -98,6 +99,18 @@ std::string member_ref(const std::string& ref, int e) {
     if (ref[i] < '0' || ref[i] > '9') return ref;
   }
   return ref.substr(0, pos + 2) + std::to_string(e);
+}
+
+// Heap and header bytes the encoded training set holds, every array counted
+// at its capacity.
+double train_set_bytes(const std::vector<gnn::GraphSample>& set) {
+  const auto held = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  std::size_t bytes = set.capacity() * sizeof(gnn::GraphSample);
+  for (const gnn::GraphSample& s : set) {
+    bytes += held(s.nbr_offsets) + held(s.nbr) + held(s.inv_deg) + held(s.feat_offsets) +
+             held(s.feat);
+  }
+  return static_cast<double>(bytes);
 }
 
 }  // namespace
@@ -232,6 +245,8 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
     result.training_links = train_set.size();
     result.sample_seconds = seconds_since(t_sample);
     MUXLINK_COUNTER_ADD("attack.training_links", static_cast<std::int64_t>(train_set.size()));
+    MUXLINK_GAUGE_SET("attack.train_set_bytes", train_set_bytes(train_set));
+    MUXLINK_GAUGE_SET("attack.train_set_nodes", std::accumulate(sizes.begin(), sizes.end(), 0.0));
     MUXLINK_FAULT_POINT("attack.sample.done");
 
     // (4) Train the DGCNN (or an ensemble of independently seeded models).

@@ -65,9 +65,7 @@ TEST(Auc, PerfectAndInvertedRankings) {
   gnn::GraphSample g;
   g.label = 1;
   gnn::set_adjacency(g, {{1}, {0}});
-  g.x = gnn::Matrix(2, 12);
-  g.x.at(0, 0) = 1.0;
-  g.x.at(1, 1) = 1.0;
+  gnn::set_features(g, {{0}, {1}});
   one_class.push_back(g);
   EXPECT_DOUBLE_EQ(gnn::evaluate_auc(model, one_class), 0.5);
 

@@ -273,8 +273,9 @@ std::vector<gnn::GraphSample> synthetic_dataset() {
       }
     }
     gnn::set_adjacency(g, nbr);
-    g.x = gnn::Matrix(n, 12);
-    for (int u = 0; u < n; ++u) g.x.at(u, static_cast<int>(rng() % 12)) = 1.0;
+    std::vector<std::vector<int>> feat(n);
+    for (int u = 0; u < n; ++u) feat[u] = {static_cast<int>(rng() % 12)};
+    gnn::set_features(g, feat);
     data.push_back(std::move(g));
   }
   return data;

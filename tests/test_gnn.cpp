@@ -104,12 +104,15 @@ TEST(Encoding, OneHotRowsSumToTwo) {
   const auto sg = graph::extract_enclosing_subgraph(g, g.all_edges()[0]);
   const GraphSample s = encode_subgraph(sg, 3, 1);
   EXPECT_EQ(s.label, 1);
-  EXPECT_EQ(s.x.rows, static_cast<int>(sg.num_nodes()));
-  EXPECT_EQ(s.x.cols, feature_dim_for_hops(3));
-  for (int i = 0; i < s.x.rows; ++i) {
-    double sum = 0.0;
-    for (int j = 0; j < s.x.cols; ++j) sum += s.x.at(i, j);
-    EXPECT_DOUBLE_EQ(sum, 2.0);  // one type bit + one DRNL bit
+  ASSERT_EQ(s.num_nodes(), static_cast<int>(sg.num_nodes()));
+  ASSERT_EQ(s.feat_offsets.size(), s.nbr_offsets.size());
+  for (int i = 0; i < s.num_nodes(); ++i) {
+    // One type bit, then one DRNL bit.
+    const auto cols = s.features(i);
+    ASSERT_EQ(cols.size(), 2u);
+    EXPECT_LT(cols[0], graph::kNumTypeFeatures);
+    EXPECT_GE(cols[1], graph::kNumTypeFeatures);
+    EXPECT_LT(cols[1], feature_dim_for_hops(3));
   }
 }
 
@@ -118,8 +121,67 @@ TEST(Encoding, TargetsCarryLabelOneBit) {
   const auto g = small_graph(nl);
   const auto sg = graph::extract_enclosing_subgraph(g, g.all_edges()[1]);
   const GraphSample s = encode_subgraph(sg, 3, 0);
-  EXPECT_DOUBLE_EQ(s.x.at(0, graph::kNumTypeFeatures + 1), 1.0);
-  EXPECT_DOUBLE_EQ(s.x.at(1, graph::kNumTypeFeatures + 1), 1.0);
+  EXPECT_EQ(s.features(0)[1], graph::kNumTypeFeatures + 1);
+  EXPECT_EQ(s.features(1)[1], graph::kNumTypeFeatures + 1);
+}
+
+// --- layer 0 from binary features -----------------------------------------------
+
+// propagate_features is the dense propagate over the densified X in every
+// table, bit for bit, with an entry exactly where that matrix is nonzero —
+// over samples with empty rows and isolated nodes, and real encoded ones.
+TEST(LayerZero, PropagateFeaturesIsTheDensePropagate) {
+  std::vector<GraphSample> samples;
+  for (int t = 0; t < 6; ++t) samples.push_back(random_khot_sample(3 + 7 * t, 12, 40 + t));
+  netlist::Netlist nl;
+  const auto g = small_graph(nl);
+  samples.push_back(encode_subgraph(graph::extract_enclosing_subgraph(g, g.all_edges()[2]), 3, 1));
+  // A hub of degree 9 whose columns 0 and 2 are on at seven and three of
+  // its ten members: counts where count / 10 and count · (1 / 10) round
+  // apart, so only the product matches the dense kernels.
+  GraphSample hub;
+  std::vector<std::vector<int>> nbr(10), feat(10);
+  for (int i = 0; i < 10; ++i) {
+    if (i > 0) {
+      nbr[0].push_back(i);
+      nbr[i].push_back(0);
+    }
+    feat[i] = {1 + i % 3};
+    if (i < 7) feat[i].insert(feat[i].begin(), 0);
+  }
+  set_adjacency(hub, nbr);
+  set_features(hub, feat);
+  samples.push_back(hub);
+  std::vector<const KernelTable*> tables{&scalar_kernels()};
+  if (avx2_kernels() != nullptr) tables.push_back(avx2_kernels());
+  const int dim = feature_dim_for_hops(3);  // covers the random samples' 12 columns too
+  for (const GraphSample& s : samples) {
+    const Matrix x = dense_features(s, dim);
+    CsrRows u0;
+    propagate_features(s, u0);
+    ASSERT_EQ(u0.rows(), s.num_nodes());
+    Matrix sparse(s.num_nodes(), dim);
+    for (int i = 0; i < u0.rows(); ++i) {
+      for (int e = u0.offsets[i]; e < u0.offsets[i + 1]; ++e) {
+        if (e > u0.offsets[i]) {
+          EXPECT_LT(u0.cols[e - 1], u0.cols[e]);
+        }
+        sparse.at(i, u0.cols[e]) = u0.vals[e];
+        EXPECT_NE(u0.vals[e], 0.0);
+      }
+    }
+    for (const KernelTable* t : tables) {
+      Matrix dense;
+      t->propagate(s, x, dense);
+      for (int i = 0; i < dense.rows; ++i) {
+        for (int c = 0; c < dim; ++c) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(dense.at(i, c)),
+                    std::bit_cast<std::uint64_t>(sparse.at(i, c)))
+              << t->isa << " row " << i << " column " << c;
+        }
+      }
+    }
+  }
 }
 
 // --- sortpooling k ----------------------------------------------------------------
@@ -147,8 +209,9 @@ GraphSample tiny_sample(int label, std::uint64_t seed) {
     nbr[j].push_back(i);
   }
   set_adjacency(g, nbr);
-  g.x = Matrix(n, 12);
-  for (int i = 0; i < n; ++i) g.x.at(i, static_cast<int>(rng() % 12)) = 1.0;
+  std::vector<std::vector<int>> feat(n);
+  for (int i = 0; i < n; ++i) feat[i] = {static_cast<int>(rng() % 12)};
+  set_features(g, feat);
   return g;
 }
 
@@ -205,8 +268,7 @@ TEST(Dgcnn, HandlesGraphsSmallerAndLargerThanK) {
   Dgcnn model(12, tiny_config());
   GraphSample small = tiny_sample(0, 5);
   set_adjacency(small, {{1}, {0, 2}, {1}});
-  small.x = Matrix(3, 12);
-  for (int i = 0; i < 3; ++i) small.x.at(i, i) = 1.0;
+  set_features(small, {{0}, {1}, {2}});
   EXPECT_NO_THROW(model.predict(small));
 
   GraphSample big = tiny_sample(1, 6);
@@ -217,16 +279,51 @@ TEST(Dgcnn, HandlesGraphsSmallerAndLargerThanK) {
     chain[i - 1].push_back(i);
   }
   set_adjacency(big, chain);
-  big.x = Matrix(30, 12);
-  for (int i = 0; i < 30; ++i) big.x.at(i, i % 12) = 1.0;
+  std::vector<std::vector<int>> feat(30);
+  for (int i = 0; i < 30; ++i) feat[i] = {i % 12};
+  set_features(big, feat);
   EXPECT_NO_THROW(model.predict(big));
 }
 
+// Feature lists a layer-0 kernel would misread are rejected before any
+// work, one test per malformation. First: a column outside the model's
+// [0, feature_dim).
 TEST(Dgcnn, RejectsFeatureDimMismatch) {
   Dgcnn model(12, tiny_config());
   GraphSample g = tiny_sample(0, 8);
-  g.x = Matrix(g.x.rows, 5);
+  g.feat[g.feat_offsets[2]] = 12;  // would read past W0's 12 rows
   EXPECT_THROW(model.predict(g), std::invalid_argument);
+  g.feat[g.feat_offsets[2]] = -1;
+  EXPECT_THROW(model.predict(g), std::invalid_argument);
+}
+
+TEST(Dgcnn, RejectsUnsortedOrDuplicateFeatureColumns) {
+  Dgcnn model(12, tiny_config());
+  GraphSample g = tiny_sample(0, 8);
+  std::vector<std::vector<int>> feat(g.num_nodes(), std::vector<int>{1, 4});
+  feat[3] = {4, 1};
+  set_features(g, feat);
+  EXPECT_THROW(model.predict(g), std::invalid_argument);
+  feat[3] = {4, 4};  // dense X holds one 1.0 there; the list would count two
+  set_features(g, feat);
+  EXPECT_THROW(model.predict(g), std::invalid_argument);
+  feat[3] = {1, 4};
+  set_features(g, feat);
+  EXPECT_NO_THROW(model.predict(g));
+}
+
+TEST(Dgcnn, RejectsFeatureOffsetsDisagreeingWithNodeCount) {
+  Dgcnn model(12, tiny_config());
+  GraphSample g = tiny_sample(0, 8);
+  GraphSample shorter = g;
+  shorter.feat_offsets.pop_back();
+  EXPECT_THROW(model.predict(shorter), std::invalid_argument);
+  GraphSample longer = g;
+  longer.feat_offsets.push_back(longer.feat_offsets.back());
+  EXPECT_THROW(model.predict(longer), std::invalid_argument);
+  GraphSample past_end = g;
+  past_end.feat_offsets[1] = static_cast<int>(past_end.feat.size()) + 4;
+  EXPECT_THROW(model.predict(past_end), std::invalid_argument);
 }
 
 TEST(Dgcnn, RejectsBadConfig) {
@@ -276,8 +373,14 @@ GraphSample tree_sample(int n, int label, std::uint64_t seed) {
     nbr[j].push_back(i);
   }
   set_adjacency(g, nbr);
-  g.x = Matrix(n, 12);
-  for (int i = 0; i < n; ++i) g.x.at(i, static_cast<int>(rng() % 12)) = 1.0;
+  std::vector<std::vector<int>> feat(n);
+  for (int i = 0; i < n; ++i) {
+    // One or two active columns, ascending; every fourth node has none.
+    const int lo = static_cast<int>(rng() % 6), hi = 6 + static_cast<int>(rng() % 6);
+    if (i % 4 == 3) continue;
+    feat[i] = rng() % 2 == 0 ? std::vector<int>{lo} : std::vector<int>{lo, hi};
+  }
+  set_features(g, feat);
   return g;
 }
 
@@ -404,7 +507,7 @@ struct Reference {
   // it also backpropagates into them.
   double run(const GraphSample& g, std::mt19937_64* rng, std::vector<Matrix>* grads) const {
     const int L = static_cast<int>(cfg.conv_channels.size());
-    const int n = g.x.rows, k = cfg.sortpool_k;
+    const int n = g.num_nodes(), k = cfg.sortpool_k;
     const int ch1 = cfg.conv1d_channels1, ch2 = cfg.conv1d_channels2, kw = cfg.conv1d_kernel2;
     const int pooled = k / 2, len2 = pooled - kw + 1, units = cfg.dense_units;
     const Matrix &k1 = p[L], &b1 = p[L + 1], &k2 = p[L + 2], &b2 = p[L + 3];
@@ -413,7 +516,7 @@ struct Reference {
 
     std::vector<Matrix> u(L), h(L);
     for (int l = 0; l < L; ++l) {
-      u[l] = propagate(g, l == 0 ? g.x : h[l - 1]);
+      u[l] = propagate(g, l == 0 ? dense_features(g, p[0].rows) : h[l - 1]);
       h[l] = Matrix(n, cfg.conv_channels[l]);
       for (int i = 0; i < n; ++i) {
         for (int c = 0; c < h[l].cols; ++c) {
@@ -910,8 +1013,9 @@ TEST(Trainer, OverfitsTinyDatasetAndCheckpointsBest) {
       }
     }
     set_adjacency(g, nbr);
-    g.x = Matrix(n, 12);
-    for (int u = 0; u < n; ++u) g.x.at(u, static_cast<int>(rng() % 12)) = 1.0;
+    std::vector<std::vector<int>> feat(n);
+    for (int u = 0; u < n; ++u) feat[u] = {static_cast<int>(rng() % 12)};
+    set_features(g, feat);
     data.push_back(std::move(g));
   }
 

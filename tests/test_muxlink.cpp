@@ -6,6 +6,8 @@
 
 #include "attacks/metrics.h"
 #include "circuitgen/generator.h"
+#include "circuitgen/suites.h"
+#include "common/metrics.h"
 #include "locking/mux_lock.h"
 #include "muxlink/attack.h"
 #include "netlist/analysis.h"
@@ -276,6 +278,30 @@ TEST(MuxLinkAttackTest, OneHopStillLearnsSomething) {
   const auto result = attack.run(d.netlist);
   const auto s = score_key(d.key, result.key);
   EXPECT_GT(s.accuracy_percent(), 50.0);
+}
+
+// The training set keeps its binary node features as column lists: a c880
+// dmux attack's `attack.train_set_bytes` gauge (observability only) stays
+// within 64 B per subgraph node, where the dense 46-wide X alone took 384 B.
+TEST(MuxLinkAttackTest, TrainSetHoldsAtMost64BytesPerSubgraphNode) {
+  if (!common::metrics_enabled()) GTEST_SKIP() << "metrics disabled";
+  const Netlist nl = circuitgen::make_benchmark("c880");
+  MuxLockOptions lo;
+  lo.key_bits = 32;
+  const LockedDesign d = locking::lock_dmux(nl, lo);
+  MuxLinkOptions opts = fast_options();
+  opts.epochs = 1;
+  opts.max_train_links = 800;
+  common::MetricsRegistry::instance().reset();
+  MuxLinkAttack attack(opts);
+  attack.run(d.netlist);
+  const common::MetricsSnapshot snap = common::MetricsRegistry::instance().snapshot();
+  ASSERT_TRUE(snap.gauges.count("attack.train_set_bytes"));
+  ASSERT_TRUE(snap.gauges.count("attack.train_set_nodes"));
+  const double bytes = snap.gauges.at("attack.train_set_bytes");
+  const double nodes = snap.gauges.at("attack.train_set_nodes");
+  EXPECT_GT(nodes, 800.0);
+  EXPECT_LE(bytes, 64.0 * nodes) << bytes / nodes << " B per node";
 }
 
 }  // namespace

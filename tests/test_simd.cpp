@@ -10,6 +10,10 @@
 //     tanh: lane reassociation / FMA / polynomial exp change low-order bits
 //     only.
 //
+// Graph-conv layer 0 from CSR rows is a third class: within each table,
+// csr_matmul / csr_matmul_at_b_accum are bit-identical to that table's dense
+// matmul / matmul_at_b_accum over the densified rows.
+//
 // Shapes are deliberately odd/prime so every padded row has live pad lanes
 // and every remainder loop in the AVX2 TU runs. On hosts without AVX2+FMA
 // the equivalence suite skips (there is nothing to compare); the dispatch
@@ -20,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "circuitgen/generator.h"
@@ -31,6 +36,7 @@
 #include "graph/circuit_graph.h"
 #include "graph/sampling.h"
 #include "graph/subgraph.h"
+#include "support/graph_sample.h"
 
 namespace muxlink {
 namespace {
@@ -234,7 +240,7 @@ TEST_F(SimdEquivalence, PropagateBitIdentical) {
     const auto sample = gnn::encode_subgraph(
         graph::extract_enclosing_subgraph(g, ls.link, sopts), sopts.hops, 1);
     // 7 channels: odd width, live pad lanes in h and both outputs.
-    const auto h = random_matrix(sample.x.rows, 7, rng_);
+    const auto h = random_matrix(sample.num_nodes(), 7, rng_);
     gnn::Matrix ref, got;
     sc().propagate(sample, h, ref);
     avx2_->propagate(sample, h, got);
@@ -323,6 +329,64 @@ TEST_F(SimdEquivalence, ElementwiseLoops) {
         expect_bits_equal(m_r[i], m_g[i], "adam m", i);
         expect_bits_equal(v_r[i], v_g[i], "adam v", i);
       }
+    }
+  }
+}
+
+// In each table the layer-0 CSR kernels give the dense kernels' bits over
+// the densified U0 = P·X: random k-hot samples with empty rows and isolated
+// nodes, a zero weight row among negative weights, widths with and without
+// live pad lanes (7 and 32 channels, 16-column passes and 4-column tails),
+// gradients preloaded with zero and nonzero rows, and row ranges split in
+// two giving the bits of one call.
+TEST(CsrLayerZero, BitIdenticalToDenseKernelsInEachTable) {
+  std::vector<const gnn::KernelTable*> tables{&gnn::scalar_kernels()};
+  if (gnn::avx2_kernels() != nullptr) tables.push_back(gnn::avx2_kernels());
+  std::mt19937_64 rng(20261019);
+  constexpr int kDim = 46;
+  for (int trial = 0; trial < 12; ++trial) {
+    const int n = 1 + 5 * trial;
+    const int ch = trial % 3 == 0 ? 7 : (trial % 3 == 1 ? 32 : 20);
+    const gnn::GraphSample s = gnn::random_khot_sample(n, kDim, 500 + trial);
+    const gnn::Matrix x = gnn::dense_features(s, kDim);
+    gnn::Matrix w = random_matrix(kDim, ch, rng);
+    for (int j = 0; j < ch; ++j) w.at(trial % kDim, j) = 0.0;
+    const gnn::Matrix dh = random_matrix(n, ch, rng);
+    gnn::Matrix init = random_matrix(kDim, ch, rng);
+    for (int r = 0; r < kDim; r += 3) {
+      for (int j = 0; j < ch; ++j) init.at(r, j) = 0.0;
+    }
+    gnn::CsrRows u0;
+    gnn::propagate_features(s, u0);
+    if (n > 4) {
+      ASSERT_EQ(u0.offsets[4], u0.offsets[5]) << "node 4's row should be empty";
+    }
+    const int half = n / 2;
+    for (const gnn::KernelTable* t : tables) {
+      SCOPED_TRACE(std::string(t->isa) + " trial " + std::to_string(trial));
+      gnn::Matrix u_dense, h_dense;
+      t->propagate(s, x, u_dense);
+      t->matmul(u_dense, w, h_dense);
+      gnn::Matrix h_csr(n, ch), h_split(n, ch);
+      t->csr_matmul(u0, 0, n, w, h_csr);
+      expect_matrices(h_dense, h_csr, /*bit_identical=*/true, "csr_matmul");
+      t->csr_matmul(u0, 0, half, w, h_split);
+      t->csr_matmul(u0, half, n, w, h_split);
+      expect_matrices(h_csr, h_split, /*bit_identical=*/true, "csr_matmul split");
+      for (int i = 0; i < n; ++i) {
+        if (u0.offsets[i] != u0.offsets[i + 1]) continue;
+        for (int j = 0; j < ch; ++j) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(h_csr.at(i, j)), 0u) << "empty row " << i;
+        }
+      }
+
+      gnn::Matrix g_dense = init, g_csr = init, g_split = init;
+      t->matmul_at_b_accum(u_dense, dh, g_dense);
+      t->csr_matmul_at_b_accum(u0, 0, n, dh, g_csr);
+      expect_matrices(g_dense, g_csr, /*bit_identical=*/true, "csr_matmul_at_b_accum");
+      t->csr_matmul_at_b_accum(u0, 0, half, dh, g_split);
+      t->csr_matmul_at_b_accum(u0, half, n, dh, g_split);
+      expect_matrices(g_csr, g_split, /*bit_identical=*/true, "csr_matmul_at_b_accum split");
     }
   }
 }

@@ -109,12 +109,15 @@ gnn::GraphSample ring_sample(int nodes = 12, int feature_dim = 6, std::uint64_t 
     adj[i] = {(i + 1) % nodes, (i + nodes - 1) % nodes};
   }
   gnn::set_adjacency(s, adj);
-  s.x = gnn::Matrix(nodes, feature_dim);
+  // Random k-hot rows: each column on with probability 1/2.
+  std::vector<std::vector<int>> feat(nodes);
   std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
   for (int r = 0; r < nodes; ++r) {
-    for (int c = 0; c < feature_dim; ++c) s.x.at(r, c) = u(rng);
+    for (int c = 0; c < feature_dim; ++c) {
+      if (rng() % 2 == 0) feat[r].push_back(c);
+    }
   }
+  gnn::set_features(s, feat);
   s.label = 1;
   return s;
 }

@@ -9,6 +9,11 @@
 //     is fast/naive >= 1.5x;
 //   * CSR propagate / propagate_transpose on a real encoded subgraph,
 //     through the dispatched table;
+//   * graph-conv layer 0 on that subgraph (32 channels), dense vs from the
+//     binary features' CSR rows, through the dispatched table: forward
+//     (propagate over the densified X + matmul vs propagate_features +
+//     csr_matmul) and the weight gradient (matmul_at_b_accum vs
+//     csr_matmul_at_b_accum);
 //   * each matmul shape three ways: naive oracle, blocked scalar, and the
 //     runtime-dispatched table (gnn::kernels(), which is AVX2 where the
 //     host supports it);
@@ -37,6 +42,8 @@
 //   isa == avx2   adam vs scalar           >= 1.8   (sqrt/div-bound; the
 //                 measured value in BENCH_kernels.json is >= 2x, the exit
 //                 floor leaves headroom for timer noise on shared hosts)
+//   isa == avx2   layer-0 forward, CSR vs dense          >= 1.3
+//   isa == avx2   layer-0 weight gradient, CSR vs dense  >= 1.3
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -54,6 +61,7 @@
 #include "gnn/simd.h"
 #include "graph/circuit_graph.h"
 #include "graph/subgraph.h"
+#include "support/graph_sample.h"
 #include "support/matrix_naive.h"
 #include "support/subgraph_naive.h"
 #include "tools/cli_args.h"
@@ -149,7 +157,7 @@ int main(int argc, char** argv) {
     const auto sample =
         gnn::encode_subgraph(graph::extract_enclosing_subgraph(g, edges[edges.size() / 2], sgopts),
                              hops, 1);
-    const int n = sample.x.rows;
+    const int n = sample.num_nodes();
     std::mt19937_64 rng(1);
     const gnn::Matrix h32 = random_matrix(n, 32, rng);
     gnn::Matrix prop_out;
@@ -159,9 +167,34 @@ int main(int argc, char** argv) {
     const double propt_s = time_per_call(
         min_s, [&](std::size_t) { kn.propagate_transpose(sample, h32, propt_out); });
 
+    // --- graph-conv layer 0 on the same sample: dense vs CSR ---------------
+    // The dense side is what layer 0 ran before X became column lists. Its
+    // own generator keeps the draws below unchanged.
+    const int feat = gnn::feature_dim_for_hops(hops);
+    std::mt19937_64 l0_rng(2);
+    const gnn::Matrix x_dense = gnn::dense_features(sample, feat);
+    const gnn::Matrix w0 = random_matrix(feat, 32, l0_rng);
+    const gnn::Matrix dh0 = random_matrix(n, 32, l0_rng);
+    gnn::Matrix u_dense, h_dense, h_csr(n, 32), gw0(feat, 32);
+    gnn::CsrRows u0;
+    const double l0_fwd_dense_s = time_per_call(min_s, [&](std::size_t) {
+      kn.propagate(sample, x_dense, u_dense);
+      kn.matmul(u_dense, w0, h_dense);
+    });
+    const double l0_fwd_sparse_s = time_per_call(min_s, [&](std::size_t) {
+      gnn::propagate_features(sample, u0);
+      kn.csr_matmul(u0, 0, n, w0, h_csr);
+    });
+    const double l0_gw_dense_s =
+        time_per_call(min_s, [&](std::size_t) { kn.matmul_at_b_accum(u_dense, dh0, gw0); });
+    gw0.zero();
+    const double l0_gw_sparse_s =
+        time_per_call(min_s, [&](std::size_t) { kn.csr_matmul_at_b_accum(u0, 0, n, dh0, gw0); });
+    const double l0_fwd_speedup = l0_fwd_sparse_s > 0.0 ? l0_fwd_dense_s / l0_fwd_sparse_s : 0.0;
+    const double l0_gw_speedup = l0_gw_sparse_s > 0.0 ? l0_gw_dense_s / l0_gw_sparse_s : 0.0;
+
     // --- matmul kernels on DGCNN shapes ------------------------------------
     // Forward conv-1: (rows x feat) * (feat x 32); feat = encoding width.
-    const int feat = gnn::feature_dim_for_hops(hops);
     const gnn::Matrix a_fwd = random_matrix(rows, feat, rng);
     const gnn::Matrix w_fwd = random_matrix(feat, 32, rng);
     gnn::Matrix out;
@@ -272,6 +305,12 @@ int main(int argc, char** argv) {
     m.add_result("extract_speedup", naive_lps > 0.0 ? fast_lps / naive_lps : 0.0);
     m.add_result("propagate_ns", 1e9 * prop_s);
     m.add_result("propagate_transpose_ns", 1e9 * propt_s);
+    m.add_result("l0_fwd_dense_ns", 1e9 * l0_fwd_dense_s);
+    m.add_result("l0_fwd_sparse_ns", 1e9 * l0_fwd_sparse_s);
+    m.add_result("l0_fwd_speedup", l0_fwd_speedup);
+    m.add_result("l0_gw_dense_ns", 1e9 * l0_gw_dense_s);
+    m.add_result("l0_gw_sparse_ns", 1e9 * l0_gw_sparse_s);
+    m.add_result("l0_gw_speedup", l0_gw_speedup);
     m.add_result("matmul_blocked_ns", mm.blocked_ns);
     m.add_result("matmul_naive_ns", mm.naive_ns);
     m.add_result("matmul_speedup", mm.speedup());
@@ -328,6 +367,8 @@ int main(int argc, char** argv) {
       if (atb.dispatch_speedup() < 4.0) failures.push_back("avx2 at_b_accum_dispatch_speedup < 4.0");
       if (tanh_speedup < 2.0) failures.push_back("avx2 tanh_dispatch_speedup < 2.0");
       if (adam_speedup < 1.8) failures.push_back("avx2 adam_dispatch_speedup < 1.8");
+      if (l0_fwd_speedup < 1.3) failures.push_back("avx2 l0_fwd_speedup < 1.3");
+      if (l0_gw_speedup < 1.3) failures.push_back("avx2 l0_gw_speedup < 1.3");
     } else {
       if (atb.speedup() < 1.5) failures.push_back("scalar at_b_accum_speedup < 1.5");
     }
