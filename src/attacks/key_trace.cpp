@@ -18,7 +18,7 @@ std::vector<KeyInput> find_key_inputs(const Netlist& locked) {
   const std::string prefix = locking::kKeyInputPrefix;
   std::vector<KeyInput> keys;
   for (GateId g : locked.inputs()) {
-    const std::string& name = locked.gate(g).name;
+    const auto name = locked.gate(g).name;
     if (name.rfind(prefix, 0) != 0) continue;
     int bit = -1;
     const char* begin = name.data() + prefix.size();
@@ -27,7 +27,7 @@ std::vector<KeyInput> find_key_inputs(const Netlist& locked) {
     if (ec != std::errc{} || ptr != end || bit < 0) {
       throw NetlistError("malformed key input name '" + name + "'");
     }
-    keys.push_back(KeyInput{bit, g, name});
+    keys.push_back(KeyInput{bit, g, std::string(name)});
   }
   std::sort(keys.begin(), keys.end(),
             [](const KeyInput& a, const KeyInput& b) { return a.bit < b.bit; });
@@ -41,10 +41,9 @@ std::vector<KeyInput> find_key_inputs(const Netlist& locked) {
 
 std::vector<TracedMux> trace_key_muxes(const Netlist& locked) {
   const auto keys = find_key_inputs(locked);
-  const auto& fanouts = locked.fanouts();
   std::vector<TracedMux> traced;
   for (const KeyInput& k : keys) {
-    for (const auto& ref : fanouts[k.gate]) {
+    for (const auto& ref : locked.fanouts(k.gate)) {
       const auto& gate = locked.gate(ref.sink);
       if (gate.type != GateType::kMux || ref.port != 0) {
         throw NetlistError("key input '" + k.name + "' drives a non-select pin of '" +
@@ -55,7 +54,7 @@ std::vector<TracedMux> trace_key_muxes(const Netlist& locked) {
       tm.key_bit = k.bit;
       tm.input_a = gate.fanins[1];
       tm.input_b = gate.fanins[2];
-      const auto& mux_out = fanouts[tm.mux];
+      const auto mux_out = locked.fanouts(tm.mux);
       if (mux_out.size() != 1) {
         throw NetlistError("key MUX '" + gate.name + "' must drive exactly one sink");
       }

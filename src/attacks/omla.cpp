@@ -52,7 +52,6 @@ struct OmlaAttack::Impl {
   // One subgraph per key bit of the (bare) locked netlist.
   std::vector<gnn::GraphSample> subgraphs_of(const Netlist& locked) const {
     const auto keys = find_key_inputs(locked);
-    const auto& fanouts = locked.fanouts();
     // Key gates become graph nodes (MUXes included), key inputs do not.
     const graph::CircuitGraph g = graph::build_circuit_graph(locked);
     graph::SubgraphOptions sgopts;
@@ -60,10 +59,10 @@ struct OmlaAttack::Impl {
     sgopts.max_nodes = opts.max_subgraph_nodes;
     std::vector<gnn::GraphSample> result;
     for (const KeyInput& k : keys) {
-      if (fanouts[k.gate].empty()) {
+      if (locked.fanouts(k.gate).empty()) {
         throw netlist::NetlistError("key input '" + k.name + "' drives nothing");
       }
-      const GateId key_gate = fanouts[k.gate].front().sink;
+      const GateId key_gate = locked.fanouts(k.gate).front().sink;
       const auto node = g.node_of(key_gate);
       if (node == graph::kNoNode) {
         throw netlist::NetlistError("key gate of '" + k.name + "' missing from graph");

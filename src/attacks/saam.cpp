@@ -11,12 +11,11 @@ using netlist::Netlist;
 std::vector<KeyBit> saam_attack(const Netlist& locked) {
   const auto keys = find_key_inputs(locked);
   const auto muxes = trace_key_muxes(locked);
-  const auto& fanouts = locked.fanouts();
 
   auto orphaned_if_deselected = [&](GateId driver, GateId mux) {
     // Loads of `driver` other than this MUX: fanout ports + PO marking.
     std::size_t other_loads = locked.is_output(driver) ? 1 : 0;
-    for (const auto& ref : fanouts[driver]) {
+    for (const auto& ref : locked.fanouts(driver)) {
       if (ref.sink != mux) ++other_loads;
     }
     return other_loads == 0;

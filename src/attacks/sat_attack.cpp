@@ -43,7 +43,7 @@ Oracle make_simulation_oracle(const Netlist& original, const Netlist& locked) {
     original_pos.emplace(original.gate(original.inputs()[i]).name, i);
   }
   for (GateId g : plain) {
-    const auto it = original_pos.find(locked.gate(g).name);
+    const auto it = original_pos.find(std::string(locked.gate(g).name));
     if (it == original_pos.end()) {
       throw std::invalid_argument("oracle: locked input '" + locked.gate(g).name +
                                   "' missing from the original design");

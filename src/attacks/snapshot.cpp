@@ -51,7 +51,7 @@ void encode_tree(const Netlist& nl, GateId root, bool toward_inputs, int depth, 
         if (toward_inputs) {
           for (GateId f : nl.gate(g).fanins) kids.push_back(f);
         } else {
-          for (const auto& r : nl.fanouts()[g]) kids.push_back(r.sink);
+          for (const auto& r : nl.fanouts(g)) kids.push_back(r.sink);
         }
         kids.resize(static_cast<std::size_t>(branch), kNullGate);
         next.insert(next.end(), kids.begin(), kids.begin() + branch);
@@ -87,12 +87,11 @@ SnapshotAttack::SnapshotAttack(const SnapshotOptions& opts) : opts_(opts) {
 std::vector<GateId> SnapshotAttack::key_gates_of(const Netlist& nl) {
   const auto keys = find_key_inputs(nl);
   std::vector<GateId> gates(keys.size(), kNullGate);
-  const auto& fanouts = nl.fanouts();
   for (const KeyInput& k : keys) {
-    if (fanouts[k.gate].empty()) {
+    if (nl.fanouts(k.gate).empty()) {
       throw netlist::NetlistError("key input '" + k.name + "' drives nothing");
     }
-    gates[static_cast<std::size_t>(k.bit)] = fanouts[k.gate].front().sink;
+    gates[static_cast<std::size_t>(k.bit)] = nl.fanouts(k.gate).front().sink;
   }
   return gates;
 }

@@ -178,7 +178,7 @@ Netlist generate_impl(const CircuitSpec& spec, std::optional<GateType> forced_ty
   auto dangling = [&] {
     std::vector<GateId> d;
     for (GateId g = 0; g < nl.num_gates(); ++g) {
-      if (nl.gate(g).type != GateType::kInput && nl.fanouts()[g].empty()) d.push_back(g);
+      if (nl.gate(g).type != GateType::kInput && nl.fanouts(g).empty()) d.push_back(g);
     }
     return d;
   };

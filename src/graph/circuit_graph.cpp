@@ -27,63 +27,67 @@ std::vector<Link> CircuitGraph::all_edges() const {
   return edges;
 }
 
-NodeId CircuitGraph::add_node(GateId gate, GateType type, std::size_t total_gates) {
-  if (node_of_.empty()) node_of_.assign(total_gates, kNoNode);
-  const NodeId n = static_cast<NodeId>(type_.size());
-  build_adj_.emplace_back();
-  type_.push_back(type);
-  gate_of_.push_back(gate);
-  node_of_.at(gate) = static_cast<std::int32_t>(n);
-  return n;
-}
-
-void CircuitGraph::add_edge(NodeId u, NodeId v) {
-  if (u == v) return;  // a gate feeding itself twice carries no information
-  build_adj_.at(u).push_back(v);
-  build_adj_.at(v).push_back(u);
-}
-
-void CircuitGraph::finalize() {
-  num_edges_ = 0;
-  std::size_t total = 0;
-  for (auto& nb : build_adj_) {
-    std::sort(nb.begin(), nb.end());
-    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
-    total += nb.size();
-  }
-  num_edges_ = total / 2;
-
-  offsets_.assign(build_adj_.size() + 1, 0);
-  neighbors_.clear();
-  neighbors_.reserve(total);
-  for (std::size_t n = 0; n < build_adj_.size(); ++n) {
-    neighbors_.insert(neighbors_.end(), build_adj_[n].begin(), build_adj_[n].end());
-    offsets_[n + 1] = static_cast<std::uint32_t>(neighbors_.size());
-  }
-  build_adj_.clear();
-  build_adj_.shrink_to_fit();
-}
-
 CircuitGraph build_circuit_graph(const Netlist& nl, std::span<const GateId> excluded) {
   MUXLINK_TRACE("graph.build");
-  std::vector<bool> skip(nl.num_gates(), false);
-  for (GateId g : excluded) skip.at(g) = true;
-
+  const std::size_t n_gates = nl.num_gates();
   CircuitGraph graph;
-  for (GateId g = 0; g < nl.num_gates(); ++g) {
-    if (skip[g] || nl.gate(g).type == GateType::kInput) continue;
-    graph.add_node(g, nl.gate(g).type, nl.num_gates());
-  }
-  for (GateId g = 0; g < nl.num_gates(); ++g) {
-    const std::int32_t gn = graph.node_of(g);
-    if (gn == kNoNode) continue;
-    for (GateId f : nl.gate(g).fanins) {
-      const std::int32_t fn = graph.node_of(f);
-      if (fn == kNoNode) continue;
-      graph.add_edge(static_cast<NodeId>(fn), static_cast<NodeId>(gn));
+  graph.node_of_.assign(n_gates, 0);
+  for (GateId g : excluded) graph.node_of_.at(g) = kNoNode;
+  graph.type_.reserve(n_gates);
+  graph.gate_of_.reserve(n_gates);
+  for (GateId g = 0; g < n_gates; ++g) {
+    const GateType type = nl.gate(g).type;
+    if (graph.node_of_[g] == kNoNode || type == GateType::kInput) {
+      graph.node_of_[g] = kNoNode;
+      continue;
     }
+    graph.node_of_[g] = static_cast<std::int32_t>(graph.type_.size());
+    graph.type_.push_back(type);
+    graph.gate_of_.push_back(g);
   }
-  graph.finalize();
+
+  // Every wire between two nodes is an undirected edge; a gate feeding
+  // itself twice carries no information. The visit below runs twice: to
+  // count each node's degree, then to fill the slices.
+  const std::size_t n = graph.num_nodes();
+  auto& offsets = graph.offsets_;
+  auto& nb = graph.neighbors_;
+  const auto for_each_wire = [&](auto&& visit) {
+    for (NodeId v = 0; v < n; ++v) {
+      for (GateId f : nl.gate(graph.gate_of_[v]).fanins) {
+        const std::int32_t u = graph.node_of_[f];
+        if (u != kNoNode && static_cast<NodeId>(u) != v) visit(static_cast<NodeId>(u), v);
+      }
+    }
+  };
+  offsets.assign(n + 1, 0);
+  for_each_wire([&](NodeId u, NodeId v) {
+    ++offsets[u + 1];
+    ++offsets[v + 1];
+  });
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  nb.resize(offsets[n]);
+  // offsets[v] walks through v's slice and ends at the next slice's start.
+  for_each_wire([&](NodeId u, NodeId v) {
+    nb[offsets[u]++] = v;
+    nb[offsets[v]++] = u;
+  });
+  // Sort and dedupe each slice, compacting the array in place; `begin` is
+  // the slice's unshifted start.
+  std::uint32_t out = 0;
+  std::uint32_t begin = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint32_t end = offsets[v];
+    std::sort(nb.begin() + begin, nb.begin() + end);
+    const auto last = std::unique(nb.begin() + begin, nb.begin() + end);
+    offsets[v] = out;
+    out = static_cast<std::uint32_t>(std::copy(nb.begin() + begin, last, nb.begin() + out) -
+                                     nb.begin());
+    begin = end;
+  }
+  offsets[n] = out;
+  nb.resize(out);
+  graph.num_edges_ = out / 2;
   MUXLINK_GAUGE_SET("graph.nodes", static_cast<double>(graph.num_nodes()));
   MUXLINK_GAUGE_SET("graph.edges", static_cast<double>(graph.num_edges()));
   return graph;

@@ -8,8 +8,9 @@
 // Adjacency is stored in CSR form (a flat `offsets` array of size n+1 into a
 // flat `neighbors` array) so that the thousands of BFS traversals issued by
 // enclosing-subgraph extraction walk contiguous cache lines instead of
-// chasing one heap allocation per node. The builder accumulates edges into
-// temporary per-node lists; finalize() sorts, dedupes, and flattens them.
+// chasing one heap allocation per node. The builder fills the CSR in one
+// pass (count degrees, prefix-sum, fill), then sorts and dedupes each
+// node's slice in place.
 #pragma once
 
 #include <cstdint>
@@ -48,17 +49,13 @@ class CircuitGraph {
   // Every edge once, with u < v.
   std::vector<Link> all_edges() const;
 
-  // Construction: include gates, then connect; used by the builder below.
-  NodeId add_node(netlist::GateId gate, netlist::GateType type, std::size_t total_gates);
-  void add_edge(NodeId u, NodeId v);
-  void finalize();  // sorts/dedupes adjacency, flattens to CSR, counts edges
+  friend CircuitGraph build_circuit_graph(const netlist::Netlist& nl,
+                                          std::span<const netlist::GateId> excluded);
 
  private:
-  // CSR adjacency, valid after finalize().
+  // CSR adjacency.
   std::vector<std::uint32_t> offsets_;  // size num_nodes()+1
   std::vector<NodeId> neighbors_;       // per-node slices sorted ascending
-  // Build-time scratch; cleared by finalize().
-  std::vector<std::vector<NodeId>> build_adj_;
   std::vector<netlist::GateType> type_;
   std::vector<netlist::GateId> gate_of_;
   std::vector<std::int32_t> node_of_;

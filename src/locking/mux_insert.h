@@ -31,7 +31,7 @@ class MuxLocker {
     original_gate_count_ = original.num_gates();
     free_sinks_.resize(original.num_gates());
     for (netlist::GateId g = 0; g < original.num_gates(); ++g) {
-      free_sinks_[g] = original.fanouts()[g].size();  // ports, original only
+      free_sinks_[g] = original.fanouts(g).size();  // ports, original only
     }
     locked_role_.assign(original.num_gates(), false);
   }
@@ -58,7 +58,7 @@ class MuxLocker {
   // Picks a uniformly random still-free original sink port of `f`.
   std::optional<netlist::Netlist::FanoutRef> pick_free_sink(netlist::GateId f) {
     std::vector<netlist::Netlist::FanoutRef> candidates;
-    for (const auto& r : design_.netlist.fanouts()[f]) {
+    for (const auto& r : design_.netlist.fanouts(f)) {
       if (r.sink < original_gate_count_ && !locked_port_.contains({r.sink, r.port}) &&
           design_.netlist.gate(r.sink).fanins[r.port] == f) {
         candidates.push_back(r);

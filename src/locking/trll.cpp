@@ -68,7 +68,7 @@ LockedDesign lock_trll(const Netlist& original, const MuxLockOptions& opts) {
   // multi-fanout key gate) would identify the shape and thus the key bit.
   auto replace_eligible = [&](GateId g) {
     if (original.gate(g).type != GateType::kNot) return false;
-    if (original.fanouts()[g].size() != 1) return false;
+    if (original.fanouts(g).size() != 1) return false;
     const GateType ft = original.gate(original.gate(g).fanins[0]).type;
     return ft != GateType::kInput && !netlist::is_constant(ft);
   };
@@ -97,7 +97,7 @@ LockedDesign lock_trll(const Netlist& original, const MuxLockOptions& opts) {
       if (ft == GateType::kInput || netlist::is_constant(ft)) continue;
       ++all_wires;
       if (gate.type == GateType::kNot) {
-        if (original.fanouts()[g].size() == 1) inv_wires.push_back({f, g, p});
+        if (original.fanouts(g).size() == 1) inv_wires.push_back({f, g, p});
       } else {
         wires.push_back({f, g, p});
       }

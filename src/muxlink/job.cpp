@@ -53,8 +53,8 @@ double recovered_hd_percent(const netlist::Netlist& orig, const netlist::Netlist
   // a partially recovered design no longer has).
   std::vector<std::string> free_keys;
   for (netlist::GateId g : recovered.inputs()) {
-    const std::string& name = recovered.gate(g).name;
-    if (name.starts_with("keyinput")) free_keys.push_back(name);
+    const std::string_view name = recovered.gate(g).name;
+    if (name.starts_with("keyinput")) free_keys.emplace_back(name);
   }
   if (free_keys.empty()) return sim::hamming_distance_percent(orig, recovered, hopts);
   const std::size_t n = free_keys.size();

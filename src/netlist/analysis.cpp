@@ -16,13 +16,12 @@ std::vector<GateId> topological_order(const Netlist& nl) {
   for (GateId g = 0; g < n; ++g) {
     if (pending[g] == 0) ready.push_back(g);
   }
-  const auto& fanouts = nl.fanouts();
   std::vector<GateId> order;
   order.reserve(n);
   for (std::size_t head = 0; head < ready.size(); ++head) {
     const GateId g = ready[head];
     order.push_back(g);
-    for (const Netlist::FanoutRef& r : fanouts[g]) {
+    for (const Netlist::FanoutRef& r : nl.fanouts(g)) {
       if (--pending[r.sink] == 0) ready.push_back(r.sink);
     }
   }
@@ -43,14 +42,13 @@ bool has_combinational_loop(const Netlist& nl) {
 
 bool in_transitive_fanout(const Netlist& nl, GateId root, GateId descendant) {
   if (root == descendant) return false;
-  const auto& fanouts = nl.fanouts();
   std::vector<bool> seen(nl.num_gates(), false);
   std::vector<GateId> stack{root};
   seen[root] = true;
   while (!stack.empty()) {
     const GateId g = stack.back();
     stack.pop_back();
-    for (const Netlist::FanoutRef& r : fanouts[g]) {
+    for (const Netlist::FanoutRef& r : nl.fanouts(g)) {
       if (r.sink == descendant) return true;
       if (!seen[r.sink]) {
         seen[r.sink] = true;
@@ -79,14 +77,13 @@ std::vector<bool> fanin_cone(const Netlist& nl, GateId root) {
 }
 
 std::vector<bool> fanout_cone(const Netlist& nl, GateId root) {
-  const auto& fanouts = nl.fanouts();
   std::vector<bool> in_cone(nl.num_gates(), false);
   std::vector<GateId> stack{root};
   in_cone[root] = true;
   while (!stack.empty()) {
     const GateId g = stack.back();
     stack.pop_back();
-    for (const Netlist::FanoutRef& r : fanouts[g]) {
+    for (const Netlist::FanoutRef& r : nl.fanouts(g)) {
       if (!in_cone[r.sink]) {
         in_cone[r.sink] = true;
         stack.push_back(r.sink);

@@ -40,7 +40,8 @@ struct Symbol {
 };
 
 // Every distinct name, interned once: an open-addressing table from the
-// name's bytes to a dense symbol id.
+// name's bytes to a dense symbol id. The hash is the netlist index's, so
+// placing a gate hashes nothing again.
 class SymbolTable {
  public:
   explicit SymbolTable(std::size_t expected) {
@@ -52,7 +53,7 @@ class SymbolTable {
 
   std::uint32_t intern(std::string_view name) {
     if (2 * (symbols_.size() + 1) > slots_.size()) grow();
-    const std::size_t h = std::hash<std::string_view>{}(name);
+    const std::size_t h = Netlist::hash_name(name);
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = h & mask;; i = (i + 1) & mask) {
       const std::uint32_t s = slots_[i];
@@ -136,11 +137,19 @@ Netlist parse_bench(std::string_view text, std::string name) {
   // split on '\n'.
   if (text.starts_with("\xEF\xBB\xBF")) text.remove_prefix(3);
 
-  SymbolTable syms(std::min<std::size_t>(text.size() / 16, std::size_t{1} << 16));
+  // text/16 over-counts the lines and names of a typical BENCH file (its
+  // assignment lines run 20+ bytes), so the scratch below is sized once
+  // from it; a file of shorter lines only grows it.
+  const std::size_t expected = std::min<std::size_t>(text.size() / 16, std::size_t{1} << 16);
+  SymbolTable syms(expected);
   std::vector<std::uint32_t> inputs;
   std::vector<std::pair<std::uint32_t, int>> outputs;
   std::vector<PendingGate> pending;
   std::vector<std::uint32_t> operands;
+  inputs.reserve(expected);
+  outputs.reserve(expected);
+  pending.reserve(expected);
+  operands.reserve(2 * expected);
 
   int line_no = 0;
   for (std::size_t pos = 0; pos < text.size();) {
@@ -228,28 +237,37 @@ Netlist parse_bench(std::string_view text, std::string name) {
   }
   for (std::size_t j = 0; j < n_pending; ++j) dep_begin[j + 1] += dep_begin[j];
   std::vector<std::uint32_t> dependents(dep_begin[n_pending]);
-  {
-    std::vector<std::uint32_t> fill(dep_begin.begin(), dep_begin.end() - 1);
-    for (std::uint32_t i = 0; i < n_pending; ++i) {
-      const PendingGate& pg = pending[i];
-      for (std::uint32_t k = pg.first; k < pg.first + pg.count; ++k) {
-        if (const std::uint32_t d = syms[operands[k]].def; d != kNone) dependents[fill[d]++] = i;
-      }
+  // dep_begin[d] walks through d's slice and ends at the next slice's start;
+  // the shift below restores the starts.
+  for (std::uint32_t i = 0; i < n_pending; ++i) {
+    const PendingGate& pg = pending[i];
+    for (std::uint32_t k = pg.first; k < pg.first + pg.count; ++k) {
+      if (const std::uint32_t d = syms[operands[k]].def; d != kNone) dependents[dep_begin[d]++] = i;
     }
   }
+  for (std::size_t j = n_pending; j > 0; --j) dep_begin[j] = dep_begin[j - 1];
+  dep_begin[0] = 0;
 
   // Inputs take ids 0..I-1 in declaration order; assignments follow in
-  // placement order.
+  // placement order. The netlist's storage is sized up front, and each
+  // gate's operand symbols are overwritten in place by their gate ids, so
+  // placement allocates nothing per gate.
+  std::size_t name_bytes = 0;
+  for (std::uint32_t s : inputs) name_bytes += syms[s].name.size();
+  for (const PendingGate& pg : pending) name_bytes += syms[pg.sym].name.size();
   Netlist nl(std::move(name));
-  nl.reserve(inputs.size() + n_pending);
-  for (std::uint32_t s : inputs) syms[s].gate = nl.add_input(std::string(syms[s].name));
+  nl.reserve(inputs.size() + n_pending, inputs.size(), outputs.size(), name_bytes,
+             operands.size());
+  for (std::uint32_t s : inputs) {
+    syms[s].gate = nl.add_gate(syms[s].name, syms[s].hash, GateType::kInput, {});
+  }
   for (std::size_t head = 0; head < ready.size(); ++head) {
     const PendingGate& pg = pending[ready[head]];
-    std::vector<GateId> fanins(pg.count);
-    for (std::uint32_t k = 0; k < pg.count; ++k) fanins[k] = syms[operands[pg.first + k]].gate;
+    const std::span<GateId> fanins(operands.data() + pg.first, pg.count);
+    for (GateId& f : fanins) f = syms[f].gate;
     Symbol& sym = syms[pg.sym];
     try {
-      sym.gate = nl.add_gate(std::string(sym.name), pg.type, std::move(fanins));
+      sym.gate = nl.add_gate(sym.name, sym.hash, pg.type, fanins);
     } catch (const NetlistError& e) {
       fail(pg.line_no, e.what());
     }
@@ -297,7 +315,7 @@ std::string write_bench(const Netlist& nl) {
   for (GateId o : nl.outputs()) line("OUTPUT(", o);
   out += '\n';
   for (GateId g : topological_order(nl)) {
-    const Gate& gate = nl.gate(g);
+    const Gate gate = nl.gate(g);
     if (gate.type == GateType::kInput) continue;
     out += gate.name;
     out += " = ";

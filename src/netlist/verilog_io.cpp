@@ -275,13 +275,13 @@ Netlist read_verilog_file(const std::filesystem::path& path) {
 
 std::string write_verilog(const Netlist& nl) {
   // Escape names that are not plain Verilog identifiers.
-  auto fmt = [](const std::string& name) {
+  auto fmt = [](std::string_view name) {
     bool plain = !name.empty() && (std::isalpha(static_cast<unsigned char>(name[0])) ||
                                    name[0] == '_');
     for (char c : name) {
       plain = plain && (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$');
     }
-    return plain ? name : "\\" + name + " ";
+    return plain ? std::string(name) : "\\" + std::string(name) + " ";
   };
 
   std::ostringstream os;

@@ -69,7 +69,7 @@ CircuitInstance::CircuitInstance(Solver& solver, const Netlist& nl,
   for (const GateId g : netlist::topological_order(nl)) {
     const Gate& gate = nl.gate(g);
     if (gate.type == GateType::kInput) {
-      const auto it = shared_inputs.find(gate.name);
+      const auto it = shared_inputs.find(std::string(gate.name));
       vars_[g] = it != shared_inputs.end() ? it->second : solver.new_var();
       continue;
     }
@@ -141,10 +141,10 @@ CircuitInstance::CircuitInstance(Solver& solver, const Netlist& nl,
   }
 }
 
-Var CircuitInstance::var_of_name(const std::string& name) const {
+Var CircuitInstance::var_of_name(std::string_view name) const {
   const GateId g = nl_->find(name);
   if (g == netlist::kNullGate) {
-    throw std::invalid_argument("CircuitInstance: unknown signal '" + name + "'");
+    throw std::invalid_argument("CircuitInstance: unknown signal '" + std::string(name) + "'");
   }
   return vars_[g];
 }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -22,7 +23,7 @@ class CircuitInstance {
                   const std::unordered_map<std::string, Var>& shared_inputs = {});
 
   Var var_of(netlist::GateId g) const { return vars_.at(g); }
-  Var var_of_name(const std::string& name) const;
+  Var var_of_name(std::string_view name) const;
   const netlist::Netlist& netlist() const noexcept { return *nl_; }
 
   // Output vars in outputs() order.

@@ -134,7 +134,7 @@ struct PairedRunner {
     for (const auto& [name, bit] : opts.extra_inputs_b) extra.emplace(name, bit);
 
     for (GateId ib : nb.inputs()) {
-      const std::string& name = nb.gate(ib).name;
+      const std::string name(nb.gate(ib).name);
       if (auto it = a_input_pos.find(name); it != a_input_pos.end()) {
         b_source.push_back(static_cast<int>(it->second));
         b_fixed.push_back(0);

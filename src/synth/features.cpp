@@ -101,7 +101,6 @@ std::vector<double> signal_probabilities(const Netlist& nl) {
 Features extract_features(const Netlist& nl) {
   Features f;
   const auto probs = signal_probabilities(nl);
-  const auto& fanouts = nl.fanouts();
   for (GateId g = 0; g < nl.num_gates(); ++g) {
     const auto& gate = nl.gate(g);
     ++f.count_by_type[static_cast<std::size_t>(gate.type)];
@@ -110,7 +109,7 @@ Features extract_features(const Netlist& nl) {
     if (is_logic) ++f.num_logic_gates;
     f.area += gate_area(gate.type, gate.fanins.size());
     const double load =
-        static_cast<double>(fanouts[g].size()) + (nl.is_output(g) ? 1.0 : 0.0);
+        static_cast<double>(nl.fanouts(g).size()) + (nl.is_output(g) ? 1.0 : 0.0);
     if (load > 0.0) ++f.num_nets;
     f.switching_power += 2.0 * probs[g] * (1.0 - probs[g]) * load;
   }

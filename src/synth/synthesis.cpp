@@ -85,10 +85,10 @@ class Rebuilder {
 
   Repr build(GateId g) {
     const Gate& gate = src_.gate(g);
-    const std::string& base = gate.name;
+    const std::string base(gate.name);
 
     if (gate.type == GateType::kInput) {
-      if (const auto it = hardcode_.find(gate.name); it != hardcode_.end()) {
+      if (const auto it = hardcode_.find(base); it != hardcode_.end()) {
         ++hardcoded_;
         return Repr::constant(it->second);
       }
@@ -206,7 +206,7 @@ class Rebuilder {
       // Keep the original PO name so interfaces stay comparable. Renaming is
       // unsafe when the node is a PI (would change the input interface) or
       // already carries another PO's name — wrap those in a named BUF.
-      const std::string& po_name = src_.gate(o).name;
+      const std::string_view po_name = src_.gate(o).name;
       if (out_.gate(node).name != po_name) {
         const bool renamable = !out_.contains(po_name) &&
                                out_.gate(node).type != GateType::kInput &&
@@ -214,7 +214,7 @@ class Rebuilder {
         if (renamable) {
           out_.rename_gate(node, po_name);
         } else {
-          node = out_.add_gate(fresh_name(po_name + "_po"), GateType::kBuf, {node});
+          node = out_.add_gate(fresh_name(std::string(po_name) + "_po"), GateType::kBuf, {node});
           if (out_.gate(node).name != po_name && !out_.contains(po_name)) {
             out_.rename_gate(node, po_name);
           }

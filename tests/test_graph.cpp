@@ -2,6 +2,8 @@
 // enclosing subgraphs, DRNL labeling, and balanced link sampling.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <set>
 
 #include "attacks/key_trace.h"
@@ -103,6 +105,68 @@ TEST(CircuitGraph, KeyMuxRemovalMatchesAttackModel) {
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     EXPECT_NE(g.node_type(n), GateType::kMux);
     EXPECT_NE(g.node_type(n), GateType::kInput);
+  }
+}
+
+// The one-pass CSR builder against the definition: on random netlists with
+// duplicate fanins, self-feeding gates and random exclusions, every node's
+// neighbour slice equals a std::set adjacency built wire by wire.
+TEST(CircuitGraph, CsrBuilderMatchesSetAdjacencyOnRandomCircuits) {
+  std::mt19937_64 rng(99);
+  for (int trial = 0; trial < 60; ++trial) {
+    Netlist nl("rand");
+    const int inputs = 2 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < inputs; ++i) nl.add_input("i" + std::to_string(i));
+    const int gates = 1 + static_cast<int>(rng() % 60);
+    for (int i = 0; i < gates; ++i) {
+      std::vector<netlist::GateId> fanins(1 + rng() % 4);
+      for (auto& f : fanins) f = static_cast<netlist::GateId>(rng() % nl.num_gates());
+      if (fanins.size() > 1 && rng() % 3 == 0) fanins[1] = fanins[0];  // duplicate wire
+      const GateType type = fanins.size() == 1 ? GateType::kNot
+                            : fanins.size() == 3 && rng() % 2 == 0 ? GateType::kMux
+                                                                   : GateType::kAnd;
+      const auto g = nl.add_gate("g" + std::to_string(i), type, fanins);
+      if (rng() % 10 == 0) nl.replace_fanin(g, 0, g);  // a gate feeding itself
+    }
+    std::vector<netlist::GateId> excluded;
+    for (netlist::GateId g = 0; g < nl.num_gates(); ++g) {
+      if (rng() % 5 == 0) excluded.push_back(g);
+    }
+
+    const CircuitGraph graph = build_circuit_graph(nl, excluded);
+    const std::set<netlist::GateId> skip(excluded.begin(), excluded.end());
+    std::map<netlist::GateId, NodeId> node;
+    for (netlist::GateId g = 0; g < nl.num_gates(); ++g) {
+      if (!skip.contains(g) && nl.gate(g).type != GateType::kInput) {
+        const auto n = static_cast<NodeId>(node.size());
+        node[g] = n;
+      }
+    }
+    std::vector<std::set<NodeId>> adj(node.size());
+    for (const auto& [g, v] : node) {
+      for (netlist::GateId f : nl.gate(g).fanins) {
+        const auto it = node.find(f);
+        if (it == node.end() || it->second == v) continue;
+        adj[v].insert(it->second);
+        adj[it->second].insert(v);
+      }
+    }
+
+    ASSERT_EQ(graph.num_nodes(), node.size());
+    std::size_t degree_sum = 0;
+    for (netlist::GateId g = 0; g < nl.num_gates(); ++g) {
+      const auto it = node.find(g);
+      ASSERT_EQ(graph.node_of(g), it == node.end() ? kNoNode : static_cast<int>(it->second));
+    }
+    for (const auto& [g, v] : node) {
+      ASSERT_EQ(graph.gate_of(v), g);
+      ASSERT_EQ(graph.node_type(v), nl.gate(g).type);
+      const auto nb = graph.neighbors(v);
+      ASSERT_EQ(std::vector<NodeId>(nb.begin(), nb.end()),
+                std::vector<NodeId>(adj[v].begin(), adj[v].end()));
+      degree_sum += adj[v].size();
+    }
+    EXPECT_EQ(graph.num_edges(), degree_sum / 2);
   }
 }
 

@@ -3,21 +3,49 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <typeinfo>
 #include <unordered_map>
 
 #include "circuitgen/suites.h"
+#include "graph/circuit_graph.h"
 #include "locking/mux_lock.h"
 #include "locking/schemes.h"
 #include "netlist/analysis.h"
 #include "netlist/bench_io.h"
 #include "netlist/gate_type.h"
 #include "netlist/netlist.h"
+#include "support/netlist_model.h"
+
+// Every global operator new is counted while `g_counting` is set, so a test
+// can assert how many heap allocations a call makes.
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// GCC flags the malloc/free pairing once these are inlined into callers;
+// replacing both halves of the pair is what makes it correct.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace muxlink::netlist {
 namespace {
@@ -167,13 +195,12 @@ TEST(Netlist, FanoutsTrackConnections) {
   const GateId a = nl.find("a");
   const GateId n1 = nl.find("n1");
   const GateId n2 = nl.find("n2");
-  const auto& fo = nl.fanouts();
-  ASSERT_EQ(fo[a].size(), 1u);
-  EXPECT_EQ(fo[a][0].sink, n1);
-  EXPECT_EQ(fo[a][0].port, 0u);
-  ASSERT_EQ(fo[n1].size(), 1u);
-  EXPECT_EQ(fo[n1][0].sink, n2);
-  EXPECT_TRUE(fo[n2].empty());
+  ASSERT_EQ(nl.fanouts(a).size(), 1u);
+  EXPECT_EQ(nl.fanouts(a)[0].sink, n1);
+  EXPECT_EQ(nl.fanouts(a)[0].port, 0u);
+  ASSERT_EQ(nl.fanouts(n1).size(), 1u);
+  EXPECT_EQ(nl.fanouts(n1)[0].sink, n2);
+  EXPECT_TRUE(nl.fanouts(n2).empty());
 }
 
 TEST(Netlist, FanoutGateCountDeduplicatesSinks) {
@@ -713,7 +740,8 @@ std::string parse_outcome(Parse parse, std::string_view text) {
     out += "\noutputs:";
     for (GateId o : nl.outputs()) out += " " + std::to_string(o);
     out += '\n';
-    for (const Gate& g : nl.gates()) {
+    for (GateId id = 0; id < nl.num_gates(); ++id) {
+      const Gate g = nl.gate(id);
       out += g.name;
       out += ' ';
       out += to_string(g.type);
@@ -833,6 +861,254 @@ TEST(BenchIO, MatchesThePreviousParserOnCorpusLocksAndMutants) {
   // Both outcomes must be exercised, or the comparison proves little.
   EXPECT_GT(mutants_parsed, 500u);
   EXPECT_LT(mutants_parsed, static_cast<std::size_t>(kMutants) - 500);
+}
+
+// --- flat storage: allocation bound and differential mutation test ---------
+
+template <typename F>
+long allocations_in(F&& f) {
+  g_allocations = 0;
+  g_counting = true;
+  f();
+  g_counting = false;
+  return g_allocations;
+}
+
+// The mechanism behind the flat netlist: parsing, the fanout CSR and the
+// graph builder each allocate a fixed number of buffers, the same bound at
+// c432 K=32 and at c880 K=64, however many gates they hold. A heap node per
+// gate name or fanin list would put the count in the hundreds.
+TEST(FlatNetlist, ParseFanoutsAndGraphAllocateABoundNotPerGate) {
+  constexpr long kParseBound = 20;
+  constexpr long kFanoutBound = 2;
+  constexpr long kGraphBound = 6;
+  // The first graph build on a thread interns its trace span and gauges;
+  // a served job's builds all come after that.
+  (void)graph::build_circuit_graph(make_small());
+  for (const auto& [circuit, key_bits] : {std::pair{"c432", 32}, std::pair{"c880", 64}}) {
+    SCOPED_TRACE(circuit);
+    const Netlist original = circuitgen::make_benchmark(circuit, 1.0);
+    locking::MuxLockOptions opts;
+    opts.key_bits = static_cast<std::size_t>(key_bits);
+    opts.seed = 4242;
+    const std::string text =
+        write_bench(locking::resolve_scheme("dmux")(original, opts).netlist);
+
+    std::optional<Netlist> nl;
+    const long parse = allocations_in([&] { nl.emplace(parse_bench(text, circuit)); });
+    const long fanouts = allocations_in([&] { (void)nl->fanouts(0); });
+    std::vector<GateId> key_muxes;
+    for (GateId g = 0; g < nl->num_gates(); ++g) {
+      if (nl->gate(g).type == GateType::kMux) key_muxes.push_back(g);
+    }
+    const long graph =
+        allocations_in([&] { (void)graph::build_circuit_graph(*nl, key_muxes); });
+
+    EXPECT_GT(nl->num_gates(), static_cast<std::size_t>(10 * kParseBound));
+    EXPECT_LE(parse, kParseBound);
+    EXPECT_LE(fanouts, kFanoutBound);
+    EXPECT_LE(graph, kGraphBound);
+  }
+}
+
+// Arguments may be views into the arenas the call appends to: every add,
+// rewrite and rename below passes one, and the arenas grow several times
+// over the loop (ASan checks that no view is read after its buffer moved).
+TEST(FlatNetlist, ViewsOfTheSameNetlistAreSafeArguments) {
+  Netlist nl;
+  const GateId a = nl.add_input("a");
+  const GateId b = nl.add_input("b");
+  GateId last = nl.add_gate("first_gate_tail", GateType::kAnd, {a, b, b, a, b});
+  for (int i = 0; i < 300; ++i) {
+    const Gate prev = nl.gate(last);
+    const std::vector<GateId> want(prev.fanins.begin(), prev.fanins.end());
+    last = nl.add_gate("g" + std::to_string(i) + "_tail", GateType::kAnd, prev.fanins);
+    nl.rewrite_gate(last, GateType::kOr, nl.gate(last).fanins);
+    const std::string_view name = nl.gate(last).name;
+    nl.rename_gate(last, name.substr(0, name.find('_')));
+    ASSERT_EQ(std::vector<GateId>(nl.gate(last).fanins.begin(), nl.gate(last).fanins.end()), want);
+    ASSERT_EQ(nl.gate(last).name, "g" + std::to_string(i));
+  }
+  EXPECT_NO_THROW(nl.validate());
+}
+
+// One random mutation, applied identically to the netlist and the model.
+// Each returns "ok" plus what the call returned, or "throw" plus the text.
+struct Mutation {
+  enum class Kind { kAdd, kReplaceFanin, kRewrite, kRename, kMarkOutput, kUnmarkOutput, kRemove };
+  Kind kind;
+  GateId id = 0;
+  GateType type = GateType::kBuf;
+  std::string name;
+  std::vector<GateId> fanins;
+  std::size_t port = 0;
+  std::vector<bool> dead;
+};
+
+Mutation random_mutation(const NetlistModel& model, std::mt19937_64& rng, int& fresh) {
+  const auto n = static_cast<GateId>(model.num_gates());
+  const auto pick = [&](std::size_t k) { return static_cast<std::size_t>(rng() % k); };
+  // Mostly valid ids, sometimes one past the end or far out.
+  const auto any_id = [&] {
+    const std::size_t r = pick(20);
+    return r == 0 ? n + static_cast<GateId>(pick(3)) : n == 0 ? 0 : static_cast<GateId>(pick(n));
+  };
+  // Fresh names of 1 to 40 characters, existing names, and the empty name.
+  const auto any_name = [&] {
+    const std::size_t r = pick(12);
+    if (r == 0) return std::string();
+    if (r == 1 && n > 0) return model.name(static_cast<GateId>(pick(n)));
+    std::string s = "g" + std::to_string(fresh++);
+    s.append(pick(3) == 0 ? pick(36) : 0, 'x');
+    return s;
+  };
+  const auto any_fanins = [&](GateType type) {
+    std::size_t count = std::max(min_fanin(type), 0);
+    if (max_fanin(type) < 0) count += pick(10);  // up to 11 for the symmetric types
+    if (pick(15) == 0) count += 1;                // arity error
+    std::vector<GateId> f(count);
+    for (GateId& id : f) id = any_id();
+    if (count >= 2 && pick(4) == 0) f[1] = f[0];  // duplicate fanin
+    return f;
+  };
+  const auto any_type = [&] {
+    // Inputs are common enough to keep the netlist growing.
+    return pick(4) == 0 ? GateType::kInput : static_cast<GateType>(pick(kNumGateTypes));
+  };
+
+  Mutation m{static_cast<Mutation::Kind>(pick(7))};
+  if (n < 4) m.kind = Mutation::Kind::kAdd;
+  switch (m.kind) {
+    case Mutation::Kind::kAdd:
+      m.name = any_name();
+      m.type = any_type();
+      m.fanins = any_fanins(m.type);
+      break;
+    case Mutation::Kind::kReplaceFanin:
+      m.id = any_id();
+      m.port = pick(4);
+      m.fanins = {any_id()};
+      break;
+    case Mutation::Kind::kRewrite:
+      m.id = any_id();
+      m.type = any_type();
+      m.fanins = any_fanins(m.type);
+      break;
+    case Mutation::Kind::kRename:
+      m.id = any_id();
+      m.name = any_name();
+      break;
+    case Mutation::Kind::kMarkOutput:
+    case Mutation::Kind::kUnmarkOutput:
+      m.id = any_id();
+      break;
+    case Mutation::Kind::kRemove:
+      // Half the masks kill sinks that are no PO (a valid removal), half
+      // are random (mostly refused).
+      m.dead.assign(n + (pick(20) == 0 ? 1 : 0), false);
+      for (GateId g = 0; g < m.dead.size() && g < n; ++g) {
+        m.dead[g] = pick(2) == 0 ? pick(8) == 0
+                                 : model.fanouts(g).empty() && !model.is_output(g) && pick(2) == 0;
+      }
+      break;
+  }
+  return m;
+}
+
+template <typename Netlistish>
+std::string apply(Netlistish& nl, const Mutation& m) {
+  try {
+    std::string out = "ok";
+    switch (m.kind) {
+      case Mutation::Kind::kAdd:
+        out += " " + std::to_string(nl.add_gate(m.name, m.type, m.fanins));
+        break;
+      case Mutation::Kind::kReplaceFanin:
+        nl.replace_fanin(m.id, m.port, m.fanins[0]);
+        break;
+      case Mutation::Kind::kRewrite:
+        nl.rewrite_gate(m.id, m.type, m.fanins);
+        break;
+      case Mutation::Kind::kRename:
+        nl.rename_gate(m.id, m.name);
+        break;
+      case Mutation::Kind::kMarkOutput:
+        nl.mark_output(m.id);
+        break;
+      case Mutation::Kind::kUnmarkOutput:
+        nl.unmark_output(m.id);
+        break;
+      case Mutation::Kind::kRemove:
+        for (GateId r : nl.remove_gates(m.dead)) out += " " + std::to_string(r);
+        break;
+    }
+    return out;
+  } catch (const NetlistError& e) {
+    return std::string("throw ") + e.what();
+  }
+}
+
+template <typename Netlistish>
+std::string bench_or_error(const Netlistish& nl) {
+  try {
+    if constexpr (std::is_same_v<Netlistish, Netlist>) {
+      return write_bench(nl);
+    } else {
+      return nl.write_bench();
+    }
+  } catch (const NetlistError& e) {
+    return std::string("throw ") + e.what();
+  }
+}
+
+// Everything observable must agree: names, types, fanins, the name index,
+// fanouts in order, PO flags and lists, validate() and the BENCH bytes.
+void expect_same(const Netlist& nl, const NetlistModel& model, std::mt19937_64& rng) {
+  ASSERT_EQ(nl.num_gates(), model.num_gates());
+  EXPECT_EQ(nl.inputs(), model.inputs());
+  EXPECT_EQ(nl.outputs(), model.outputs());
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const Gate gate = nl.gate(g);
+    ASSERT_EQ(gate.name, model.name(g));
+    ASSERT_EQ(gate.type, model.type(g));
+    ASSERT_EQ(std::vector<GateId>(gate.fanins.begin(), gate.fanins.end()), model.fanins(g));
+    ASSERT_EQ(nl.find(gate.name), g);
+    const auto fo = nl.fanouts(g);
+    ASSERT_EQ(std::vector<Netlist::FanoutRef>(fo.begin(), fo.end()), model.fanouts(g));
+    ASSERT_EQ(nl.fanout_gate_count(g), model.fanout_gate_count(g));
+    ASSERT_EQ(nl.is_output(g), model.is_output(g));
+  }
+  const std::string absent = "absent" + std::to_string(rng() % 1000);
+  EXPECT_EQ(nl.find(absent), model.find(absent));
+  EXPECT_NO_THROW(nl.validate());
+  EXPECT_EQ(bench_or_error(nl), bench_or_error(model));
+}
+
+TEST(FlatNetlist, RandomMutationsMatchTheReferenceModel) {
+  std::mt19937_64 rng(2024);
+  std::size_t accepted = 0, refused = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    Netlist nl("model");
+    NetlistModel model("model");
+    int fresh = 0;
+    for (int step = 0; step < 150; ++step) {
+      const Mutation m = random_mutation(model, rng, fresh);
+      const std::string want = apply(model, m);
+      ASSERT_EQ(apply(nl, m), want) << "trial " << trial << " step " << step;
+      (want.starts_with("ok") ? accepted : refused) += 1;
+      // A copy is a deep copy: mutating it leaves the original alone.
+      if (step % 50 == 49) {
+        Netlist copy = nl;
+        if (copy.num_gates() > 0) copy.rename_gate(0, "copy_only_name");
+        EXPECT_EQ(nl.find("copy_only_name"), kNullGate);
+      }
+      expect_same(nl, model, rng);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // Both outcomes must be exercised, or the comparison proves little.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(refused, 300u);
 }
 
 }  // namespace

@@ -296,7 +296,7 @@ TEST(Hardcode, MatchesSimulationOnRandomCircuit) {
   spec.num_inputs = 9;
   spec.num_outputs = 4;
   const Netlist nl = circuitgen::generate(spec);
-  const std::string victim = nl.gate(nl.inputs()[3]).name;
+  const std::string victim(nl.gate(nl.inputs()[3]).name);
   for (bool v : {false, true}) {
     const Netlist hc = hardcode_input(nl, victim, v);
     EXPECT_EQ(hc.inputs().size(), 8u);
@@ -385,7 +385,7 @@ TEST(Features, CleanupReducesAreaAfterHardcoding) {
   spec.num_gates = 200;
   const Netlist nl = circuitgen::generate(spec);
   const Features before = extract_features(nl);
-  const std::string victim = nl.gate(nl.inputs()[0]).name;
+  const std::string victim(nl.gate(nl.inputs()[0]).name);
   const Features after = extract_features(hardcode_input(nl, victim, true));
   EXPECT_LE(after.area, before.area);
 }

@@ -10,8 +10,10 @@
 // else → parse_bench). The contract under test: EVERY input either parses
 // or raises the parser's structured error (NetlistError, or JsonError for
 // JSON) — any other exception type, crash, or sanitizer finding is a bug.
-// Netlists that parse are additionally round-tripped through the writer and
-// re-parsed; a parsed JSON value v must satisfy parse(dump(v)) == v.
+// Netlists that parse must pass Netlist::validate() (the flat name arena,
+// fanin pool and name index agree), and are round-tripped through the
+// writer and re-parsed; a parsed JSON value v must satisfy
+// parse(dump(v)) == v.
 //
 // The run is fully deterministic in (corpus bytes, --seed, --iters):
 // corpus files are loaded in sorted filename order and all randomness
@@ -137,13 +139,18 @@ std::string run_one(const std::string& input, Format format) {
   try {
     const netlist::Netlist nl =
         verilog ? netlist::parse_verilog(input) : netlist::parse_bench(input, "fuzz");
+    try {
+      nl.validate();
+    } catch (const netlist::NetlistError& e) {
+      return std::string("parsed netlist fails validate(): ") + e.what();
+    }
     // Parsed: the writer must accept what the parser produced, and the
     // round trip must parse again.
     const std::string out = verilog ? netlist::write_verilog(nl) : netlist::write_bench(nl);
     if (verilog) {
-      netlist::parse_verilog(out);
+      netlist::parse_verilog(out).validate();
     } else {
-      netlist::parse_bench(out, "fuzz2");
+      netlist::parse_bench(out, "fuzz2").validate();
     }
   } catch (const netlist::NetlistError&) {
     // Structured parse error — the contract.
