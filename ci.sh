@@ -118,7 +118,7 @@ run_docs() {
   # MXRPC1 spec the daemon suite tests against.
   grep -q "## 13. Daemon & wire protocol" DESIGN.md \
     || { echo "DESIGN.md lost its daemon/wire-protocol section" >&2; return 1; }
-  for token in MXRPC1 "CRC-32" HELLO SUBMIT "job lifecycle"; do
+  for token in MXRPC1 "CRC-32" HELLO SUBMIT WAIT_RESULT forwarded "job lifecycle"; do
     grep -qi "$token" DESIGN.md \
       || { echo "DESIGN.md §13 lost its '$token' coverage" >&2; return 1; }
   done

@@ -31,30 +31,13 @@ void DaemonClient::ensure_connected() {
       delay_ms = static_cast<int>(delay_ms * kRetryBackoff);
     }
   }
-  // Version negotiation before anything else (DESIGN.md §13), plus the
-  // capability offer (always both caps). The server echoes the
-  // intersection; a PR 9 server echoes nothing, and cap-gated calls on that
-  // connection fail with DaemonError.
-  cap_wait_result_ = false;
-  cap_forwarded_ = false;
+  // Version negotiation before anything else (DESIGN.md §13).
   try {
     common::Json hello = common::Json::object();
     common::Json versions = common::Json::array();
     versions.push_back(static_cast<int>(kProtocolVersion));
     hello["versions"] = std::move(versions);
-    common::Json caps = common::Json::array();
-    caps.push_back(common::Json(kCapWaitResult));
-    caps.push_back(common::Json(kCapForwarded));
-    hello["caps"] = std::move(caps);
-    const common::Json reply = roundtrip(MsgType::kHello, MsgType::kHelloOk, hello);
-    if (const common::Json* caps = reply.find("caps"); caps && caps->is_array()) {
-      for (std::size_t i = 0; i < caps->size(); ++i) {
-        const common::Json& c = caps->at(i);
-        if (!c.is_string()) continue;
-        if (c.as_string() == kCapWaitResult) cap_wait_result_ = true;
-        if (c.as_string() == kCapForwarded) cap_forwarded_ = true;
-      }
-    }
+    roundtrip(MsgType::kHello, MsgType::kHelloOk, hello);
   } catch (...) {
     ::close(fd_);
     fd_ = -1;
@@ -123,10 +106,6 @@ std::string DaemonClient::submit(const core::AttackJobSpec& spec) {
 
 std::string DaemonClient::submit_forwarded(const core::AttackJobSpec& spec,
                                            const common::Json& provenance) {
-  ensure_connected();
-  if (!cap_forwarded_) {
-    throw DaemonError("daemon at " + address_text_ + " did not negotiate the forwarded cap");
-  }
   common::Json envelope = common::Json::object();
   envelope["spec"] = spec.to_json();
   envelope["forwarded"] = provenance;
@@ -157,20 +136,9 @@ common::Json DaemonClient::shutdown() {
 }
 
 common::Json DaemonClient::wait_result(const std::string& job_id, long timeout_ms) {
-  ensure_connected();
-  if (!cap_wait_result_) {
-    throw DaemonError("daemon at " + address_text_ + " did not negotiate the wait_result cap");
-  }
   common::Json req = job_id_payload(job_id);
   req["timeout_ms"] = static_cast<std::int64_t>(timeout_ms);
   return roundtrip(MsgType::kWaitResult, MsgType::kWaitResultOk, req);
-}
-
-bool DaemonClient::has_cap(std::string_view name) {
-  ensure_connected();
-  if (name == kCapWaitResult) return cap_wait_result_;
-  if (name == kCapForwarded) return cap_forwarded_;
-  return false;
 }
 
 common::Json DaemonClient::wait_for_result(const std::string& job_id) {

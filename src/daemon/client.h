@@ -34,8 +34,7 @@ class DaemonClient {
   // Submits a job; returns its daemon-assigned id ("j1", "j2", ...).
   std::string submit(const core::AttackJobSpec& spec);
 
-  // Submits inside a `forwarded` envelope carrying coordinator provenance
-  // (requires the negotiated `forwarded` cap; DaemonError otherwise).
+  // Submits inside a `forwarded` envelope carrying coordinator provenance.
   std::string submit_forwarded(const core::AttackJobSpec& spec, const common::Json& provenance);
 
   common::Json status(const std::string& job_id);
@@ -44,19 +43,13 @@ class DaemonClient {
   common::Json stats();
   common::Json shutdown();  // asks the daemon to drain
 
-  // One WAIT_RESULT long-poll roundtrip (requires the `wait_result` cap).
-  // The reply is RESULT_OK-shaped; a non-terminal state means the server
+  // One WAIT_RESULT long-poll roundtrip. The reply is RESULT_OK-shaped; a non-terminal state means the server
   // deadline expired first.
   common::Json wait_result(const std::string& job_id, long timeout_ms);
 
   // Blocks until the job reaches a terminal state and returns the result
-  // reply, re-issuing WAIT_RESULT long-polls (requires the `wait_result`
-  // cap; DaemonError otherwise).
+  // reply, re-issuing WAIT_RESULT long-polls.
   common::Json wait_for_result(const std::string& job_id);
-
-  // True when the connected daemon negotiated `name` in HELLO (connects
-  // lazily if needed).
-  bool has_cap(std::string_view name);
 
   const std::string& address() const noexcept { return address_text_; }
 
@@ -68,8 +61,6 @@ class DaemonClient {
   Address address_;
   std::string address_text_;
   int fd_ = -1;
-  bool cap_wait_result_ = false;  // negotiated on the current connection
-  bool cap_forwarded_ = false;
 };
 
 }  // namespace muxlink::daemon

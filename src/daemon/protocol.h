@@ -72,17 +72,6 @@ enum class MsgType : std::uint8_t {
   kError = 0x7f,       // {"code":<ErrorCode>,"message":"..."}
 };
 
-// Optional capabilities negotiated in HELLO. A client lists the capability
-// names it understands in "caps"; the server echoes the intersection with
-// its own set in HELLO_OK. An absent "caps" key means the empty set, which
-// keeps v1 peers (PR 9) interoperable.
-//
-//   wait_result — peer accepts WAIT_RESULT long-poll requests.
-//   forwarded   — peer accepts a {"spec":...,"forwarded":{...}} SUBMIT
-//                 envelope carrying coordinator provenance.
-inline constexpr std::string_view kCapWaitResult = "wait_result";
-inline constexpr std::string_view kCapForwarded = "forwarded";
-
 // True for the types above; decode_frame rejects everything else.
 bool is_known_type(std::uint8_t type) noexcept;
 const char* type_name(MsgType t) noexcept;

@@ -255,16 +255,8 @@ struct DaemonServer::Impl {
     }
   }
 
-  // Per-connection negotiated state: HELLO-first discipline plus the
-  // capability set agreed in HELLO (DESIGN.md §14). Absent caps = v1 peer.
-  struct ConnState {
-    bool hello_done = false;
-    bool cap_wait_result = false;
-    bool cap_forwarded = false;
-  };
-
   void serve_connection(int fd) {
-    ConnState conn;
+    bool hello_done = false;  // HELLO-first discipline (DESIGN.md §13)
     while (!stop_requested()) {
       // Short poll so shutdown never waits on an idle client; the io
       // timeout inside read_frame only bounds mid-frame stalls.
@@ -289,7 +281,7 @@ struct DaemonServer::Impl {
       ++requests_served;
       MUXLINK_COUNTER_ADD("daemon.requests", 1);
       try {
-        if (!dispatch(fd, *frame, conn)) return;
+        if (!dispatch(fd, *frame, hello_done)) return;
       } catch (const ProtocolError& e) {
         ++protocol_errors;
         MUXLINK_COUNTER_ADD("daemon.protocol_errors", 1);
@@ -308,7 +300,7 @@ struct DaemonServer::Impl {
   }
 
   // Returns false when the connection must close (version rejection).
-  bool dispatch(int fd, const Frame& frame, ConnState& conn) {
+  bool dispatch(int fd, const Frame& frame, bool& hello_done) {
     if (frame.type == MsgType::kHello) {
       const common::Json req = parse_payload(frame);
       bool ok = false;
@@ -324,40 +316,24 @@ struct DaemonServer::Impl {
                                   "server speaks MXRPC1 version 1 only"));
         return false;
       }
-      // Capability negotiation: the connection speaks the intersection of
-      // the client's offered caps and ours; unknown names are ignored so
-      // future clients degrade cleanly. An absent "caps" key is a v1 peer.
-      conn.cap_wait_result = false;
-      conn.cap_forwarded = false;
-      if (const common::Json* caps = req.find("caps"); caps && caps->is_array()) {
-        for (std::size_t i = 0; i < caps->size(); ++i) {
-          const common::Json& c = caps->at(i);
-          if (!c.is_string()) continue;
-          if (c.as_string() == kCapWaitResult) conn.cap_wait_result = true;
-          if (c.as_string() == kCapForwarded) conn.cap_forwarded = true;
-        }
-      }
+      // Other keys are ignored, so an old peer's caps offer is harmless.
       common::Json reply = common::Json::object();
       reply["version"] = static_cast<int>(kProtocolVersion);
       reply["server"] = "muxlinkd";
-      common::Json caps = common::Json::array();
-      if (conn.cap_wait_result) caps.push_back(common::Json(std::string(kCapWaitResult)));
-      if (conn.cap_forwarded) caps.push_back(common::Json(std::string(kCapForwarded)));
-      if (caps.size() > 0) reply["caps"] = caps;
       write_frame(fd, MsgType::kHelloOk, reply.dump());
-      conn.hello_done = true;
+      hello_done = true;
       return true;
     }
-    if (!conn.hello_done) {
+    if (!hello_done) {
       write_frame(fd, MsgType::kError,
                   error_payload(ErrorCode::kBadRequest, "HELLO must be the first message"));
       return true;
     }
     switch (frame.type) {
-      case MsgType::kSubmit: return handle_submit(fd, frame, conn);
+      case MsgType::kSubmit: return handle_submit(fd, frame);
       case MsgType::kStatus: return handle_status(fd, frame);
       case MsgType::kResult: return handle_result(fd, frame);
-      case MsgType::kWaitResult: return handle_wait_result(fd, frame, conn);
+      case MsgType::kWaitResult: return handle_wait_result(fd, frame);
       case MsgType::kCancel: return handle_cancel(fd, frame);
       case MsgType::kStats:
         write_frame(fd, MsgType::kStatsOk, stats_json().dump());
@@ -378,21 +354,15 @@ struct DaemonServer::Impl {
     }
   }
 
-  bool handle_submit(int fd, const Frame& frame, const ConnState& conn) {
+  bool handle_submit(int fd, const Frame& frame) {
     core::AttackJobSpec spec;
     bool forwarded = false;
     try {
       common::Json payload = parse_payload(frame);
-      // Coordinator envelope (negotiated `forwarded` cap): the spec rides
-      // under "spec" with provenance alongside; the spec JSON itself stays
-      // exactly the PR 9 document, so from_json's strict key set holds.
+      // Coordinator envelope: the spec rides under "spec" with provenance
+      // alongside; the spec JSON itself stays exactly the bare SUBMIT
+      // document, so from_json's strict key set holds.
       if (payload.is_object() && payload.find("spec")) {
-        if (!conn.cap_forwarded) {
-          write_frame(fd, MsgType::kError,
-                      error_payload(ErrorCode::kBadRequest,
-                                    "forwarded SUBMIT envelope without the forwarded cap"));
-          return true;
-        }
         forwarded = true;
         spec = core::AttackJobSpec::from_json(payload.at("spec"));
       } else {
@@ -532,13 +502,7 @@ struct DaemonServer::Impl {
   // The reply is RESULT_OK-shaped; a non-terminal state means "deadline
   // expired first, re-issue if you still care". Waiting in short slices
   // keeps shutdown latency bounded without a per-job waiter registry.
-  bool handle_wait_result(int fd, const Frame& frame, const ConnState& conn) {
-    if (!conn.cap_wait_result) {
-      write_frame(fd, MsgType::kError,
-                  error_payload(ErrorCode::kBadRequest,
-                                "WAIT_RESULT without the wait_result cap"));
-      return true;
-    }
+  bool handle_wait_result(int fd, const Frame& frame) {
     std::string id;
     const auto rec = lookup_job(fd, frame, &id);
     if (!rec) return true;

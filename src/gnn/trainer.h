@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,27 +13,10 @@
 
 namespace muxlink::gnn {
 
-// Per-epoch training telemetry (DESIGN.md §7). AUCs are only computed when
-// the caller asked for them (an extra prediction pass per epoch); they are
-// NaN otherwise. grad_norm is the epoch mean of the per-batch L2 norms of
-// the merged gradient, measured before each adam_step.
-struct EpochStats {
-  int epoch = 0;
-  double train_loss = 0.0;
-  double val_accuracy = 0.0;
-  double train_auc = 0.0;
-  double val_auc = 0.0;
-  double learning_rate = 0.0;
-  double grad_norm = 0.0;
-  double wall_seconds = 0.0;  // wall time of this epoch (incl. validation)
-};
-
 struct TrainOptions {
   int epochs = 100;
   int batch_size = 32;
   std::uint64_t seed = 1;  // shuffling/split and per-sample dropout seed
-  // Called after every epoch with (epoch, train_loss, val_accuracy).
-  std::function<void(int, double, double)> on_epoch;
 
   // --- numeric guardrails (DESIGN.md §8) ------------------------------
   // Global-norm gradient clipping: when > 0, each batch's mean gradient is
@@ -64,16 +46,12 @@ struct TrainOptions {
   bool resume = false;
 
   // Telemetry stream: when set, one JSONL record per epoch is appended
-  // ({"model": telemetry_tag, "epoch": ..., "train_loss": ..., ...}).
-  // Purely observational — enabling it never changes the trained model.
+  // ({"model": telemetry_tag, "epoch", "train_loss", "val_accuracy",
+  // "train_auc", "val_auc", "learning_rate", "grad_norm", "wall_seconds"}).
+  // The AUCs cost one extra forward pass per sample per epoch. Purely
+  // observational — enabling it never changes the trained model.
   common::JsonlWriter* telemetry = nullptr;
   std::string telemetry_tag;  // distinguishes ensemble members in one stream
-  // Compute train/val ROC-AUC per epoch (for telemetry / on_epoch_stats).
-  // Costs one extra forward pass per training sample per epoch; defaults to
-  // on exactly when a telemetry stream is attached.
-  bool telemetry_auc = true;
-  // Richer per-epoch hook; independent of the JSONL stream.
-  std::function<void(const EpochStats&)> on_epoch_stats;
 };
 
 struct TrainReport {

@@ -431,18 +431,21 @@ EngineResult score_links(const Netlist& locked, const std::vector<GateId>& exclu
     // link's score does not depend on its slot-mates.
     constexpr std::size_t kSlot = gnn::Dgcnn::kSlotSamples;
     common::parallel_for(n_targets, kSlot, [&](std::size_t begin, std::size_t end, std::size_t) {
-      gnn::GraphSample samples[kSlot];
-      const gnn::GraphSample* slot[kSlot];
       std::size_t index[kSlot];
       std::size_t n = 0;
       for (std::size_t i = begin; i < end; ++i) {
-        if (have[i]) continue;
-        const auto sg = graph::extract_enclosing_subgraph(g, links[i], sgopts);
-        samples[n] = gnn::encode_subgraph(sg, opts.hops, 0);
-        slot[n] = &samples[n];
-        index[n++] = i;
+        if (!have[i]) index[n++] = i;
       }
+      // An all-hit task returns before constructing any sample (each one
+      // allocates).
       if (n == 0) return;
+      gnn::GraphSample samples[kSlot];
+      const gnn::GraphSample* slot[kSlot];
+      for (std::size_t j = 0; j < n; ++j) {
+        const auto sg = graph::extract_enclosing_subgraph(g, links[index[j]], sgopts);
+        samples[j] = gnn::encode_subgraph(sg, opts.hops, 0);
+        slot[j] = &samples[j];
+      }
       double sum[kSlot] = {};
       double p[kSlot];
       for (const gnn::Dgcnn* model : scorers) {

@@ -161,13 +161,10 @@ LoadedModel load_model_blob(const std::filesystem::path& path, const LoadOptions
   std::string buffer;
   const char* base = nullptr;
   std::size_t size = 0;
-  if (!opts.force_copy) {
-    const Mapping m = map_file(path);
-    if (m.addr != nullptr) {
-      mapping = std::shared_ptr<void>(m.addr, [len = m.len](void* p) { ::munmap(p, len); });
-      base = static_cast<const char*>(m.addr);
-      size = m.len;
-    }
+  if (const Mapping m = map_file(path); m.addr != nullptr) {
+    mapping = std::shared_ptr<void>(m.addr, [len = m.len](void* p) { ::munmap(p, len); });
+    base = static_cast<const char*>(m.addr);
+    size = m.len;
   }
   if (base == nullptr) {
     buffer = gnn::read_container_file(path);

@@ -51,7 +51,7 @@ std::int64_t wall_clock_ns() {
 // blob then verify it once.
 class HandleCache {
  public:
-  static constexpr std::size_t kCapacity = 32;
+  static constexpr std::size_t kMaxHandles = 32;
 
   static HandleCache& instance() {
     // Never destroyed: a daemon worker may still hold the lock or a handle
@@ -83,7 +83,7 @@ class HandleCache {
     opts.score_only = true;
     auto handle = std::make_shared<const LoadedModel>(load_model_blob(path, opts));
     MUXLINK_COUNTER_ADD("serving.handle_loads", 1);
-    if (entries_.size() >= kCapacity) {
+    if (entries_.size() >= kMaxHandles) {
       entries_.erase(std::min_element(entries_.begin(), entries_.end(),
                                       [](const auto& a, const auto& b) {
                                         return a.second.last_use < b.second.last_use;

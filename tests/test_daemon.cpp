@@ -711,20 +711,17 @@ TEST_F(DaemonE2E, TcpLoopbackRoundTrip) {
   server.stop();
 }
 
-// --- caps, long-poll and forwarded envelopes (DESIGN.md §14) ----------------
+// --- long-poll and forwarded envelopes (DESIGN.md §13/§14) ------------------
 
 TEST_F(DaemonE2E, CapsNegotiationWaitResultAndForwardedSubmit) {
   DaemonOptions dopts;
-  dopts.socket_path = socket_path("caps");
+  dopts.socket_path = socket_path("fwd");
   dopts.workers = 1;
-  dopts.spool_dir = (tmp_ / "caps-spool").string();
+  dopts.spool_dir = (tmp_ / "fwd-spool").string();
   DaemonServer server(dopts);
   server.start();
 
   DaemonClient client(client_options("unix:" + dopts.socket_path));
-  EXPECT_TRUE(client.has_cap("wait_result"));
-  EXPECT_TRUE(client.has_cap("forwarded"));
-  EXPECT_FALSE(client.has_cap("no_such_cap"));
 
   // A forwarded SUBMIT carries provenance in the envelope and the spec in
   // "spec"; the result is byte-identical to a plain in-process run.
@@ -769,35 +766,44 @@ TEST_F(DaemonE2E, WaitResultDeadlineReturnsNonTerminalStateForReissue) {
   server.stop();
 }
 
-TEST_F(DaemonE2E, V1PeerWithoutCapsIsServedByPollingAndRefusedNewMessages) {
+// A peer hand-rolled from protocol.h frames (no DaemonClient), so the
+// tests below pin the wire bytes rather than the client's habits.
+class RawPeer {
+ public:
+  explicit RawPeer(const std::string& address) : fd_(connect_to(parse_address(address))) {}
+  ~RawPeer() { ::close(fd_); }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  Frame roundtrip(MsgType type, const std::string& payload) {
+    write_frame(fd_, type, payload);
+    auto reply = read_frame(fd_, kDefaultMaxFrameBytes, 60000);
+    EXPECT_TRUE(reply.has_value()) << type_name(type);
+    return reply.value_or(Frame{MsgType::kError, "{}"});
+  }
+
+ private:
+  int fd_;
+};
+
+TEST_F(DaemonE2E, HandRolledPeerIsServedByResultPolling) {
   DaemonOptions dopts;
   dopts.socket_path = socket_path("v1peer");
   dopts.workers = 1;
   DaemonServer server(dopts);
   server.start();
 
-  // A PR 9 peer, hand-rolled from protocol.h frames: HELLO without caps,
-  // plain SUBMIT, then RESULT polling until the job is terminal.
-  const int fd = connect_to(parse_address("unix:" + dopts.socket_path));
-  auto roundtrip = [&](MsgType type, const std::string& payload) {
-    write_frame(fd, type, payload);
-    auto reply = read_frame(fd, kDefaultMaxFrameBytes, 60000);
-    EXPECT_TRUE(reply.has_value()) << type_name(type);
-    return reply.value_or(Frame{MsgType::kError, "{}"});
-  };
-  const Frame hello = roundtrip(MsgType::kHello, "{\"versions\":[1]}");
-  ASSERT_EQ(hello.type, MsgType::kHelloOk);
-  // HELLO_OK without offered caps must not echo a caps list.
-  EXPECT_FALSE(parse_payload(hello).contains("caps"));
-
-  const Frame submitted = roundtrip(MsgType::kSubmit, small_job(1).to_json().dump());
+  // HELLO, plain SUBMIT, then RESULT polling until the job is terminal.
+  RawPeer peer("unix:" + dopts.socket_path);
+  ASSERT_EQ(peer.roundtrip(MsgType::kHello, "{\"versions\":[1]}").type, MsgType::kHelloOk);
+  const Frame submitted = peer.roundtrip(MsgType::kSubmit, small_job(1).to_json().dump());
   ASSERT_EQ(submitted.type, MsgType::kSubmitOk);
   const std::string id = parse_payload(submitted).string_or("job_id", "");
   ASSERT_FALSE(id.empty());
   const std::string job_payload = "{\"job_id\":\"" + id + "\"}";
   common::Json reply;
   for (;;) {
-    const Frame polled = roundtrip(MsgType::kResult, job_payload);
+    const Frame polled = peer.roundtrip(MsgType::kResult, job_payload);
     ASSERT_EQ(polled.type, MsgType::kResultOk);
     reply = parse_payload(polled);
     const std::string state = reply.string_or("state", "");
@@ -807,21 +813,49 @@ TEST_F(DaemonE2E, V1PeerWithoutCapsIsServedByPollingAndRefusedNewMessages) {
   ASSERT_EQ(reply.string_or("state", ""), "DONE");
   const auto direct = core::run_attack_job(small_job(1));
   EXPECT_EQ(reply.at("manifest").dump_pretty(), direct.manifest.dump_pretty());
+  server.stop();
+}
 
-  // The server refuses the cap-gated messages on this connection: a peer
-  // that skipped negotiation gets BAD_REQUEST, not silence.
-  const Frame waited =
-      roundtrip(MsgType::kWaitResult, "{\"job_id\":\"" + id + "\",\"timeout_ms\":1}");
-  EXPECT_EQ(waited.type, MsgType::kError);
-  EXPECT_EQ(parse_payload(waited).int_or("code", 0), static_cast<int>(ErrorCode::kBadRequest));
-  common::Json envelope = common::Json::object();
-  envelope["spec"] = small_job(1).to_json();
-  envelope["forwarded"] = common::Json::object();
-  const Frame forwarded = roundtrip(MsgType::kSubmit, envelope.dump());
-  EXPECT_EQ(forwarded.type, MsgType::kError);
-  EXPECT_EQ(parse_payload(forwarded).int_or("code", 0),
-            static_cast<int>(ErrorCode::kBadRequest));
-  ::close(fd);
+// WAIT_RESULT and the forwarded SUBMIT envelope are plain MXRPC1 v1: HELLO
+// negotiates only the version, so whatever else a peer's HELLO carries (no
+// caps list, or one naming nothing the server knows), HELLO_OK is the same
+// two keys and both extensions are served on that connection.
+TEST_F(DaemonE2E, WaitResultAndForwardedSubmitNeedNothingFromHello) {
+  DaemonOptions dopts;
+  dopts.socket_path = socket_path("plainhello");
+  dopts.workers = 1;
+  DaemonServer server(dopts);
+  server.start();
+
+  std::int64_t forwarded_jobs = 0;
+  for (const char* hello : {"{\"versions\":[1]}", "{\"versions\":[1],\"caps\":[\"no_such_cap\"]}"}) {
+    SCOPED_TRACE(hello);
+    RawPeer peer("unix:" + dopts.socket_path);
+    const Frame hello_ok = peer.roundtrip(MsgType::kHello, hello);
+    ASSERT_EQ(hello_ok.type, MsgType::kHelloOk);
+    EXPECT_EQ(hello_ok.payload, "{\"version\":1,\"server\":\"muxlinkd\"}");
+
+    common::Json envelope = common::Json::object();
+    envelope["spec"] = small_job(1).to_json();
+    envelope["forwarded"] = common::Json::object();
+    const Frame submitted = peer.roundtrip(MsgType::kSubmit, envelope.dump());
+    ASSERT_EQ(submitted.type, MsgType::kSubmitOk);
+    const std::string id = parse_payload(submitted).string_or("job_id", "");
+    ASSERT_FALSE(id.empty());
+    ++forwarded_jobs;
+
+    std::string state;
+    do {
+      const Frame waited = peer.roundtrip(MsgType::kWaitResult, "{\"job_id\":\"" + id + "\"}");
+      ASSERT_EQ(waited.type, MsgType::kWaitResultOk);
+      state = parse_payload(waited).string_or("state", "");
+    } while (state == "QUEUED" || state == "RUNNING");
+    EXPECT_EQ(state, "DONE");
+
+    const Frame stats = peer.roundtrip(MsgType::kStats, "{}");
+    ASSERT_EQ(stats.type, MsgType::kStatsOk);
+    EXPECT_EQ(parse_payload(stats).int_or("jobs_forwarded", 0), forwarded_jobs);
+  }
   server.stop();
 }
 

@@ -8,6 +8,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -1026,9 +1028,22 @@ TEST(Trainer, OverfitsTinyDatasetAndCheckpointsBest) {
   topts.epochs = 60;
   topts.batch_size = 8;
   topts.seed = 2;
+  // The telemetry stream carries one record per epoch, each with both AUCs.
+  const auto log = std::filesystem::temp_directory_path() / "muxlink-trainer-epochs.jsonl";
+  std::filesystem::remove(log);
+  TrainReport report;
+  {
+    muxlink::common::JsonlWriter telemetry(log.string());
+    topts.telemetry = &telemetry;
+    report = train_link_predictor(model, data, topts);
+  }
   int epochs_seen = 0;
-  topts.on_epoch = [&](int, double, double) { ++epochs_seen; };
-  const TrainReport report = train_link_predictor(model, data, topts);
+  std::ifstream in(log);
+  for (std::string line; std::getline(in, line); ++epochs_seen) {
+    EXPECT_NE(line.find("\"train_auc\""), std::string::npos) << line;
+    EXPECT_NE(line.find("\"val_auc\""), std::string::npos) << line;
+  }
+  std::filesystem::remove(log);
   EXPECT_EQ(epochs_seen, 60);
   EXPECT_GE(report.best_epoch, 1);
   EXPECT_GT(report.best_val_accuracy, 0.6);

@@ -280,15 +280,14 @@ TEST_F(BlobTest, MmapAndCopyReadersAgreeBitForBit) {
   auto model = small_model();
   take_one_step(model);
   const fs::path p = write_blob(model, /*with_optimizer=*/true);
+  const fs::path foreign = write_blob(model, /*with_optimizer=*/true, "foreign.mzb");
+  make_lanes_foreign(foreign);
 
-  zoo::LoadOptions mapped_opts;
-  auto mapped = zoo::load_model_blob(p, mapped_opts);
+  auto mapped = zoo::load_model_blob(p);
   EXPECT_TRUE(mapped.mapped);
   EXPECT_GT(mapped.bytes_mapped, 0u);
 
-  zoo::LoadOptions copy_opts;
-  copy_opts.force_copy = true;
-  auto copied = zoo::load_model_blob(p, copy_opts);
+  auto copied = zoo::load_model_blob(foreign);
   EXPECT_FALSE(copied.mapped);
   EXPECT_EQ(copied.bytes_mapped, 0u);
 
@@ -449,8 +448,8 @@ TEST_F(BlobTest, TopologyTheTensorsCannotHoldIsAFormatError) {
     const fs::path p = dir_.path / "topology.mzb";
     spew(p, edit_meta(good, key, value));
     EXPECT_THROW(zoo::load_model_blob(p), zoo::ZooError);
+    make_lanes_foreign(p);  // the streaming-copy reader must reject it too
     zoo::LoadOptions copy_opts;
-    copy_opts.force_copy = true;
     copy_opts.with_optimizer = true;
     EXPECT_THROW(zoo::load_model_blob(p, copy_opts), zoo::ZooError);
   }
@@ -563,8 +562,10 @@ TEST(ContainerFuzz, MutatedModelsAndCheckpointsDecodeOrThrowFormatError) {
       continue;
     }
     spew(p, bytes);
+    // Half the loads take the streaming-copy reader, reached as in
+    // production: through a header geometry this build cannot map.
+    if (rng() % 2 == 0) make_lanes_foreign(p);
     zoo::LoadOptions opts;
-    opts.force_copy = rng() % 2 == 0;
     opts.with_optimizer = rng() % 2 == 0;
     opts.score_only = !opts.with_optimizer && rng() % 2 == 0;
     try {
